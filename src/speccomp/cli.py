@@ -14,14 +14,13 @@ the verify tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .applications import cesaro_limit, cesaro_residuals, drazin_inverse, drazin_residuals
 from .components import all_components, eigenprojection_residuals, eigenprojection_zero
-from .documents import csv_render, load_document, matrix_block
+from .documents import csv_render, json_text, load_document, matrix_block
 from .exceptions import ConditioningError, InputFormatError, PreconditionError
 from .linalg import ToleranceConfig, as_matrix
 from .spectrum import Spectrum, analyze, spectrum_from_data
@@ -205,7 +204,7 @@ def _run(args) -> int:
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json_text(payload))
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, mat_pow
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _mat_pow, as_matrix, frob, identity, mat_pow
 from .spectrum import Spectrum
 
 __all__ = [
@@ -144,8 +144,13 @@ def _poly_factor(m: np.ndarray, inner: int, outer: int, cfg: ToleranceConfig) ->
     Never expanded as a polynomial: staged powering keeps the count of
     large-norm intermediates minimal.
     """
-    powered = _guard(mat_pow(m, inner), cfg, "inner matrix power")
-    return _guard(mat_pow(identity(m.shape[0]) - powered, outer), cfg, "product factor")
+    powered = _guard(_mat_pow(m, inner), cfg, "inner matrix power")
+    return _guard(_mat_pow(identity(m.shape[0]) - powered, outer), cfg, "product factor")
+
+
+def _running_product(z, factor: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """``z @ factor``, guarded; ``z`` is None before the first factor."""
+    return _guard(factor if z is None else z @ factor, cfg, "running product")
 
 
 def _check_pair(a: np.ndarray, sp: Spectrum) -> None:
@@ -167,13 +172,13 @@ def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) ->
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
-    z = identity(a.shape[0])
+    z = None
     for pos in range(sp.s):
         lam = sp.eigenvalues[pos]
         if lam == 0:
             continue
-        z = _guard(z @ _poly_factor(a / lam, sp.u, sp.exponents[pos], cfg), cfg, "running product")
-    return z
+        z = _running_product(z, _poly_factor(a / lam, sp.u, sp.exponents[pos], cfg), cfg)
+    return identity(a.shape[0]) if z is None else z
 
 
 def _component_prefix(a: np.ndarray, sp: Spectrum, k: int, cfg: ToleranceConfig) -> np.ndarray:
@@ -181,17 +186,13 @@ def _component_prefix(a: np.ndarray, sp: Spectrum, k: int, cfg: ToleranceConfig)
     lam_k = sp.eigenvalues[k - 1]
     u_k = sp.exponents[k - 1]
     shifted = a - lam_k * identity(a.shape[0])
-    z = identity(a.shape[0])
+    z = None
     for pos in range(sp.s):
         if pos == k - 1:
             continue
         ratio = sp.eigenvalues[pos] - lam_k
-        z = _guard(
-            z @ _poly_factor(shifted / ratio, u_k, sp.exponents[pos], cfg),
-            cfg,
-            "running product",
-        )
-    return z
+        z = _running_product(z, _poly_factor(shifted / ratio, u_k, sp.exponents[pos], cfg), cfg)
+    return identity(a.shape[0]) if z is None else z
 
 
 def _order_check(sp: Spectrum, k: int, j: int) -> None:
@@ -240,11 +241,12 @@ def all_components(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> Compo
         nu = sp.indices[k - 1]
         _order_check(sp, k, nu - 1)
         prefix = _component_prefix(a, sp, k, cfg)
+        parts[(k, 0)] = prefix
         shifted = a - sp.eigenvalues[k - 1] * identity(a.shape[0])
-        tail = identity(a.shape[0])
+        tail = shifted
         factorial = 1.0
-        for j in range(nu):
-            if j > 0:
+        for j in range(1, nu):
+            if j > 1:
                 tail = tail @ shifted
                 factorial *= j
             parts[(k, j)] = prefix @ tail / factorial

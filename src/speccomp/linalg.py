@@ -67,6 +67,11 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise PreconditionError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return _finite_input(m)
+
+
+def _finite_input(m: np.ndarray) -> np.ndarray:
+    """The finiteness half of :func:`as_matrix`, without the copy."""
     if not np.all(np.isfinite(m)):
         raise PreconditionError("matrix entries must all be finite")
     return m
@@ -101,15 +106,27 @@ def mat_mul(a, b) -> np.ndarray:
 
 def mat_pow(a, e) -> np.ndarray:
     """``a`` raised to a nonnegative integer power, by repeated squaring."""
-    a = as_matrix(a)
+    return _mat_pow(as_matrix(a), e)
+
+
+def _mat_pow(m: np.ndarray, e) -> np.ndarray:
+    """Core of :func:`mat_pow` for a complex square array, which it neither
+    copies nor modifies: ``m ** 1`` is ``m`` itself.
+
+    Checks as :func:`mat_pow` does, shape aside. The first factor of the
+    result is taken as it is rather than multiplied onto the identity.
+    """
+    m = _finite_input(m)
     if int(e) != e or e < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer, got {e!r}")
     e = int(e)
-    result = identity(a.shape[0])
-    base = a
+    if e == 0:
+        return identity(m.shape[0])
+    result = None
+    base = m
     while e:
         if e & 1:
-            result = result @ base
+            result = base if result is None else result @ base
         e >>= 1
         if e:
             base = base @ base

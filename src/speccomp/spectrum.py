@@ -219,7 +219,7 @@ def eigenvalues_raw(a, cfg: ToleranceConfig | None = None) -> np.ndarray:
         raise ConvergenceError(
             f"eigenvalue iteration did not converge within the LAPACK cap of "
             f"roughly 30 sweeps per eigenvalue for this {a.shape[0]}x{a.shape[0]} "
-            f"matrix: {a!r}"
+            f"matrix of Frobenius norm {frob(a):.3e}"
         ) from exc
 
 
@@ -285,9 +285,10 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
         return 1  # a is lam * I up to noise
     b = b / norm
     prev_rank = n
-    power = identity(n)
+    power = b
     for k in range(n + 1):
-        power = power @ b
+        if k:
+            power = power @ b
         norm = frob(power)
         if norm <= cfg.rank_rel_threshold:
             # product of unit-norm factors collapsed to the noise floor:

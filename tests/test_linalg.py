@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from speccomp import (
+    ConditioningError,
     PreconditionError,
     SingularMatrixError,
     ToleranceConfig,
@@ -90,6 +91,33 @@ class TestMatPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(PreconditionError):
             mat_pow(identity(2), -1)
+
+    def test_matches_squaring_from_the_identity(self):
+        def reference(a, e):
+            result = np.eye(a.shape[0], dtype=complex)
+            base = a
+            while e:
+                if e & 1:
+                    result = result @ base
+                e >>= 1
+                if e:
+                    base = base @ base
+            return result
+
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        for e in range(10):
+            assert np.array_equal(mat_pow(a, e), reference(a, e)), e
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(PreconditionError):
+            mat_pow(identity(2), 1.5)
+        with pytest.raises(PreconditionError):
+            mat_pow([[np.nan, 0], [0, 1]], 2)
+        with pytest.raises(PreconditionError):
+            mat_pow([[np.inf, 0], [0, 1]], 1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
+            mat_pow(1e200 * identity(2), 2)
 
 
 class TestRank:

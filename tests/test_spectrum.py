@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import speccomp.spectrum
 from speccomp import (
     ClusteringError,
+    ConvergenceError,
     PreconditionError,
     ToleranceConfig,
     analyze,
@@ -39,6 +40,18 @@ class TestEigenvaluesRaw:
     def test_rotation_has_conjugate_pair(self):
         vals = eigenvalues_raw(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert_allclose(sorted(vals, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
+
+    def test_convergence_error_message_is_bounded(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        a = np.random.default_rng(64).normal(size=(64, 64))
+        with pytest.raises(ConvergenceError) as excinfo:
+            eigenvalues_raw(a)
+        message = str(excinfo.value)
+        assert len(message) < 300
+        assert "64x64" in message
 
 
 class TestClustering:
