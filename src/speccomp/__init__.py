@@ -10,103 +10,22 @@ of row-stochastic chains. An independent oracle module provides ground
 truth for testing, and a CLI exposes everything for batch use.
 """
 
-from .applications import (
-    ScalarFunctionJet,
-    cesaro_limit,
-    cesaro_residuals,
-    drazin_inverse,
-    drazin_residuals,
-    matrix_function,
-)
-from .components import (
-    ComponentSet,
-    all_components,
-    component,
-    eigenprojection_residuals,
-    eigenprojection_zero,
-    lagrange_projector,
-)
-from .exceptions import (
-    ClusteringError,
-    ConditioningError,
-    ConvergenceError,
-    InputFormatError,
-    PreconditionError,
-    SingularMatrixError,
-    SpectralError,
-)
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
-    as_matrix,
-    frob,
-    identity,
-    mat_mul,
-    mat_pow,
-    rank_numeric,
-    solve,
-)
-from .oracle import (
-    JordanSpec,
-    build_case,
-    case_document,
-    components_by_nullspace,
-    integer_similarity,
-)
-from .spectrum import (
-    Spectrum,
-    analyze,
-    cluster_spectrum,
-    effective_cluster_radius,
-    eigen_index,
-    eigenvalues_raw,
-    replace_eigenvalue,
-    spectrum_from_data,
-)
+from . import applications, components, exceptions, linalg, oracle, spectrum
+from .applications import *  # noqa: F401,F403
+from .components import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ScalarFunctionJet",
-    "cesaro_limit",
-    "cesaro_residuals",
-    "drazin_inverse",
-    "drazin_residuals",
-    "matrix_function",
-    "ComponentSet",
-    "all_components",
-    "component",
-    "eigenprojection_residuals",
-    "eigenprojection_zero",
-    "lagrange_projector",
-    "ClusteringError",
-    "ConditioningError",
-    "ConvergenceError",
-    "InputFormatError",
-    "PreconditionError",
-    "SingularMatrixError",
-    "SpectralError",
-    "DEFAULT_TOLERANCES",
-    "ToleranceConfig",
-    "as_matrix",
-    "frob",
-    "identity",
-    "mat_mul",
-    "mat_pow",
-    "rank_numeric",
-    "solve",
-    "JordanSpec",
-    "build_case",
-    "case_document",
-    "components_by_nullspace",
-    "integer_similarity",
-    "Spectrum",
-    "analyze",
-    "cluster_spectrum",
-    "effective_cluster_radius",
-    "eigen_index",
-    "eigenvalues_raw",
-    "replace_eigenvalue",
-    "spectrum_from_data",
+    *applications.__all__,
+    *components.__all__,
+    *exceptions.__all__,
+    *linalg.__all__,
+    *oracle.__all__,
+    *spectrum.__all__,
     "__version__",
 ]

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .components import ComponentSet, component, eigenprojection_zero
+from .components import ComponentSet, _commutation, _idempotency, component, eigenprojection_zero
 from .exceptions import PreconditionError
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, mat_pow, solve
 from .spectrum import Spectrum, analyze, effective_cluster_radius, replace_eigenvalue
@@ -122,7 +122,7 @@ def drazin_residuals(a, a_d, ind_a: int) -> dict:
     a_k1 = a_k @ a
     return {
         "inner_inverse": frob(a_d @ a @ a_d - a_d) / max(1.0, frob(a_d) ** 2 * frob(a)),
-        "commutation": frob(a @ a_d - a_d @ a) / max(1.0, frob(a) * frob(a_d)),
+        "commutation": _commutation(a, a_d),
         "power_identity": frob(a_k1 @ a_d - a_k) / max(1.0, frob(a_k1) * frob(a_d)),
     }
 
@@ -135,11 +135,10 @@ def cesaro_residuals(p, limit) -> dict:
     """
     p = as_matrix(p)
     limit = as_matrix(limit)
-    scale = max(1.0, frob(p) * frob(limit))
     return {
-        "idempotency": frob(limit @ limit - limit) / max(1.0, frob(limit) ** 2),
-        "commutation": frob(p @ limit - limit @ p) / scale,
-        "absorption": frob(p @ limit - limit) / scale,
+        "idempotency": _idempotency(limit),
+        "commutation": _commutation(p, limit),
+        "absorption": frob(p @ limit - limit) / max(1.0, frob(p) * frob(limit)),
         "row_sums": float(np.max(np.abs(limit.sum(axis=1) - 1.0))),
         "negativity": float(max(0.0, -np.min(limit.real))),
     }

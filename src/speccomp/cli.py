@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .applications import cesaro_limit, cesaro_residuals, drazin_inverse, drazin_residuals
-from .components import all_components, eigenprojection_residuals, eigenprojection_zero
+from .components import _worst, all_components, eigenprojection_residuals, eigenprojection_zero
 from .documents import csv_render, json_text, load_document, matrix_block
 from .exceptions import ConditioningError, InputFormatError, PreconditionError
 from .linalg import ToleranceConfig, as_matrix
@@ -138,7 +138,7 @@ def _run(args) -> int:
         payload["against"] = args.against
         payload["max_abs_deviation"] = deviation
         payload["passed"] = deviation <= cfg.verify_tol
-        _emit_json(payload)
+        sys.stdout.write(json_text(payload))
         if not payload["passed"]:
             print(f"deviation {deviation:.3e} exceeds verify_tol {cfg.verify_tol:.3e}",
                   file=sys.stderr)
@@ -194,17 +194,13 @@ def _run(args) -> int:
         for name in sorted(residuals):
             print(f"residual {name} {residuals[name]:.6e}", file=sys.stderr)
     else:
-        _emit_json(payload)
+        sys.stdout.write(json_text(payload))
 
-    worst = max(residuals.values(), default=0.0)
-    if worst > cfg.verify_tol:
+    worst = _worst(residuals.values())
+    if not worst <= cfg.verify_tol:
         print(f"residual {worst:.3e} exceeds verify_tol {cfg.verify_tol:.3e}", file=sys.stderr)
         return 4
     return 0
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json_text(payload))
 
 
 def main(argv=None) -> int:

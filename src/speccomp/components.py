@@ -12,13 +12,12 @@ bit-for-bit per build.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _mat_pow, as_matrix, frob, identity, mat_pow
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _mat_pow, as_matrix, frob, identity, mat_pow
 from .spectrum import Spectrum
 
 __all__ = [
@@ -81,49 +80,61 @@ class ComponentSet:
         eye = identity(n)
         proj = {k: self.parts[(k, 0)] for k in range(1, sp.s + 1)}
 
-        idem = max(
-            frob(z @ z - z) / max(1.0, frob(z) ** 2) for z in proj.values()
-        )
-        comm = max(
-            frob(a @ z - z @ a) / max(1.0, frob(a) * frob(z))
-            for z in self.parts.values()
-        )
         total = sum(proj.values())
         resolution = frob(total - eye) / max(1.0, max(frob(z) for z in proj.values()))
-        orth = 0.0
-        for k, zk in proj.items():
-            for l, zl in proj.items():
-                if k != l:
-                    r = frob(zk @ zl) / max(1.0, frob(zk) * frob(zl))
-                    orth = max(orth, r)
-        annihilation = 0.0
-        ladder = 0.0
+        orth = _worst(
+            frob(zk @ zl) / max(1.0, frob(zk) * frob(zl))
+            for k, zk in proj.items()
+            for l, zl in proj.items()
+            if k != l
+        )
+        annihilation = []
+        ladder = []
         recon_sum = np.zeros((n, n), dtype=complex)
         for k in range(1, sp.s + 1):
             lam = sp.eigenvalues[k - 1]
             nu = sp.indices[k - 1]
             shifted = a - lam * eye
-            killer = mat_pow(shifted, nu)
-            r = frob(killer @ proj[k]) / max(1.0, frob(killer) * frob(proj[k]))
-            annihilation = max(annihilation, r)
+            annihilation.append(_annihilation(mat_pow(shifted, nu), proj[k]))
             for j in range(nu - 1):
                 zj, zj1 = self.parts[(k, j)], self.parts[(k, j + 1)]
-                r = frob(shifted @ zj - (j + 1) * zj1) / max(1.0, frob(shifted) * frob(zj))
-                ladder = max(ladder, r)
+                ladder.append(
+                    frob(shifted @ zj - (j + 1) * zj1) / max(1.0, frob(shifted) * frob(zj))
+                )
             recon_sum += lam * proj[k]
             if nu > 1:
                 recon_sum += self.parts[(k, 1)]
         reconstruction = frob(a - recon_sum) / max(1.0, frob(a))
 
         return {
-            "idempotency": idem,
-            "commutation": comm,
+            "idempotency": _worst(_idempotency(z) for z in proj.values()),
+            "commutation": _worst(_commutation(a, z) for z in self.parts.values()),
             "resolution_of_identity": resolution,
             "orthogonality": orth,
-            "annihilation": annihilation,
-            "ladder": ladder,
+            "annihilation": _worst(annihilation),
+            "ladder": _worst(ladder),
             "reconstruction": reconstruction,
         }
+
+
+def _worst(values) -> float:
+    """Largest of the residuals ``values`` (0.0 when empty); NaN if any is NaN."""
+    return float(np.max(list(values), initial=0.0))
+
+
+def _idempotency(z: np.ndarray) -> float:
+    """Residual of Z @ Z = Z."""
+    return frob(z @ z - z) / max(1.0, frob(z) ** 2)
+
+
+def _commutation(a: np.ndarray, z: np.ndarray) -> float:
+    """Residual of A @ Z = Z @ A."""
+    return frob(a @ z - z @ a) / max(1.0, frob(a) * frob(z))
+
+
+def _annihilation(killer: np.ndarray, z: np.ndarray) -> float:
+    """Residual of killer @ Z = 0."""
+    return frob(killer @ z) / max(1.0, frob(killer) * frob(z))
 
 
 def _guard(m: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
@@ -148,17 +159,30 @@ def _poly_factor(m: np.ndarray, inner: int, outer: int, cfg: ToleranceConfig) ->
     return _guard(_mat_pow(identity(m.shape[0]) - powered, outer), cfg, "product factor")
 
 
-def _running_product(z, factor: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """``z @ factor``, guarded; ``z`` is None before the first factor."""
-    return _guard(factor if z is None else z @ factor, cfg, "running product")
-
-
 def _check_pair(a: np.ndarray, sp: Spectrum) -> None:
     if sp.source_dim != a.shape[0]:
         raise PreconditionError(
             f"spectrum describes a {sp.source_dim}x{sp.source_dim} matrix, "
             f"got {a.shape[0]}x{a.shape[0]}"
         )
+
+
+def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: ToleranceConfig) -> np.ndarray:
+    """The projector-at-zero product of ``shifted = A - lam I``.
+
+    Product of ``(I - (shifted / (lam_i - lam))^inner)^(u_i)`` over the
+    eigenvalues ``lam_i != lam``, guarded, in ascending position order; I when
+    there are none. A quotient that overflows is a conditioning failure.
+    """
+    z = None
+    for lam_i, outer in zip(sp.eigenvalues, sp.exponents):
+        if lam_i == lam:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
+        factor = _poly_factor(quotient, inner, outer, cfg)
+        z = _guard(factor if z is None else z @ factor, cfg, "running product")
+    return identity(shifted.shape[0]) if z is None else z
 
 
 def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:
@@ -172,27 +196,7 @@ def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) ->
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
-    z = None
-    for pos in range(sp.s):
-        lam = sp.eigenvalues[pos]
-        if lam == 0:
-            continue
-        z = _running_product(z, _poly_factor(a / lam, sp.u, sp.exponents[pos], cfg), cfg)
-    return identity(a.shape[0]) if z is None else z
-
-
-def _component_prefix(a: np.ndarray, sp: Spectrum, k: int, cfg: ToleranceConfig) -> np.ndarray:
-    """The j-independent product prefix of the component at position k."""
-    lam_k = sp.eigenvalues[k - 1]
-    u_k = sp.exponents[k - 1]
-    shifted = a - lam_k * identity(a.shape[0])
-    z = None
-    for pos in range(sp.s):
-        if pos == k - 1:
-            continue
-        ratio = sp.eigenvalues[pos] - lam_k
-        z = _running_product(z, _poly_factor(shifted / ratio, u_k, sp.exponents[pos], cfg), cfg)
-    return identity(a.shape[0]) if z is None else z
+    return _prefix(a, sp, 0j, sp.u, cfg)
 
 
 def _order_check(sp: Spectrum, k: int, j: int) -> None:
@@ -208,48 +212,49 @@ def _order_check(sp: Spectrum, k: int, j: int) -> None:
         )
 
 
+def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig) -> list:
+    """``[Z_k0, ..., Z_k,top]``: one product prefix times ``(1/j!) (A - lam_k I)^j``.
+
+    The prefix is shared across j and the power is a running product, which
+    keeps all components of one eigenvalue mutually consistent.
+    """
+    _order_check(sp, k, top)
+    lam = sp.eigenvalues[k - 1]
+    shifted = a - lam * identity(a.shape[0])
+    prefix = _prefix(shifted, sp, lam, sp.exponents[k - 1], cfg)
+    out = [prefix]
+    tail = shifted
+    factorial = 1.0
+    for j in range(1, top + 1):
+        if j > 1:
+            tail = tail @ shifted
+            factorial *= j
+        out.append(prefix @ tail / factorial)
+    return out
+
+
 def component(a, sp: Spectrum, k: int, j: int, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """The order-j component of ``a`` at its k-th eigenvalue (k is 1-based).
 
     For j = 0 this is the eigenprojection at that eigenvalue: idempotent,
     commuting with ``a``. Higher orders carry the nilpotent structure,
-    scaled by 1/j!.
+    scaled by 1/j!. Bit-identical to the same part of :func:`all_components`.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
-    _order_check(sp, k, j)
-    prefix = _component_prefix(a, sp, k, cfg)
-    if j == 0:
-        return prefix
-    shifted = a - sp.eigenvalues[k - 1] * identity(a.shape[0])
-    return prefix @ mat_pow(shifted, j) / float(math.factorial(j))
+    return _orders(a, sp, k, j, cfg)[j]
 
 
 def all_components(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> ComponentSet:
-    """Every component of ``a``: positions k = 1..s, orders j = 0..index_k - 1.
-
-    The per-position product prefix is computed once and shared across j —
-    only the trailing ``(1/j!) (A - lam_k I)^j`` factor differs — which is
-    faster and keeps all components of one eigenvalue mutually consistent.
-    """
+    """Every component of ``a``: positions k = 1..s, orders j = 0..index_k - 1."""
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
     parts = {}
     for k in range(1, sp.s + 1):
-        nu = sp.indices[k - 1]
-        _order_check(sp, k, nu - 1)
-        prefix = _component_prefix(a, sp, k, cfg)
-        parts[(k, 0)] = prefix
-        shifted = a - sp.eigenvalues[k - 1] * identity(a.shape[0])
-        tail = shifted
-        factorial = 1.0
-        for j in range(1, nu):
-            if j > 1:
-                tail = tail @ shifted
-                factorial *= j
-            parts[(k, j)] = prefix @ tail / factorial
+        for j, z in enumerate(_orders(a, sp, k, sp.indices[k - 1] - 1, cfg)):
+            parts[(k, j)] = z
     return ComponentSet(source=a, spectrum=sp, parts=parts)
 
 
@@ -291,9 +296,8 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     Z itself being zero).
     """
     a = as_matrix(a)
-    killer = mat_pow(a, sp.ind_a)
     return {
-        "idempotency": frob(z @ z - z) / max(1.0, frob(z) ** 2),
-        "commutation": frob(a @ z - z @ a) / max(1.0, frob(a) * frob(z)),
-        "annihilation": frob(killer @ z) / max(1.0, frob(killer) * frob(z)),
+        "idempotency": _idempotency(z),
+        "commutation": _commutation(a, z),
+        "annihilation": _annihilation(mat_pow(a, sp.ind_a), z),
     }

@@ -5,6 +5,16 @@ CLI maps them onto process exit codes: malformed input documents (1),
 violated call contracts (2), numerical guard aborts (3).
 """
 
+__all__ = [
+    "SpectralError",
+    "InputFormatError",
+    "PreconditionError",
+    "ConditioningError",
+    "SingularMatrixError",
+    "ConvergenceError",
+    "ClusteringError",
+]
+
 
 class SpectralError(Exception):
     """Base class for every error raised by this package."""

@@ -67,11 +67,6 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise PreconditionError(f"expected a nonempty square matrix, got shape {m.shape}")
-    return _finite_input(m)
-
-
-def _finite_input(m: np.ndarray) -> np.ndarray:
-    """The finiteness half of :func:`as_matrix`, without the copy."""
     if not np.all(np.isfinite(m)):
         raise PreconditionError("matrix entries must all be finite")
     return m
@@ -83,8 +78,17 @@ def identity(n: int) -> np.ndarray:
 
 
 def frob(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm.
+
+    The sum of squares overflows once entries pass about 1e154; only then is
+    the norm taken again of ``a`` scaled by its largest entry magnitude.
+    """
+    norm = float(np.linalg.norm(a, "fro"))
+    if norm == np.inf:
+        scale = float(np.max(np.abs(a)))
+        if np.isfinite(scale):
+            return scale * float(np.linalg.norm(np.asarray(a) / scale, "fro"))
+    return norm
 
 
 def _finite(m: np.ndarray, what: str) -> np.ndarray:
@@ -110,13 +114,12 @@ def mat_pow(a, e) -> np.ndarray:
 
 
 def _mat_pow(m: np.ndarray, e) -> np.ndarray:
-    """Core of :func:`mat_pow` for a complex square array, which it neither
-    copies nor modifies: ``m ** 1`` is ``m`` itself.
+    """Core of :func:`mat_pow` for a finite complex square array, which it
+    neither copies nor modifies: ``m ** 1`` is ``m`` itself.
 
-    Checks as :func:`mat_pow` does, shape aside. The first factor of the
-    result is taken as it is rather than multiplied onto the identity.
+    Checks the exponent and the result, not the input. The first factor of
+    the result is taken as it is rather than multiplied onto the identity.
     """
-    m = _finite_input(m)
     if int(e) != e or e < 0:
         raise PreconditionError(f"exponent must be a nonnegative integer, got {e!r}")
     e = int(e)

@@ -58,7 +58,6 @@ class Spectrum:
     - ``multiplicities``: algebraic multiplicities, summing to ``source_dim``
     - ``indices``: size of the largest Jordan block per eigenvalue
     - ``exponents``: per-eigenvalue powers, each at least the index
-    - ``ind_a``: index of eigenvalue 0 (0 when the matrix is nonsingular)
     - ``u``: inner power used by the projector-at-zero product, >= ind_a
     """
 
@@ -66,7 +65,6 @@ class Spectrum:
     multiplicities: tuple
     indices: tuple
     exponents: tuple
-    ind_a: int
     u: int
     source_dim: int
 
@@ -74,6 +72,20 @@ class Spectrum:
     def s(self) -> int:
         """Number of distinct eigenvalues."""
         return len(self.eigenvalues)
+
+    @property
+    def zero_position(self) -> int | None:
+        """0-based position of the exact-zero eigenvalue, or None."""
+        for i, v in enumerate(self.eigenvalues):
+            if v == 0:
+                return i
+        return None
+
+    @property
+    def ind_a(self) -> int:
+        """Index of eigenvalue 0 (0 when the matrix is nonsingular)."""
+        pos = self.zero_position
+        return 0 if pos is None else self.indices[pos]
 
     def position_of(self, value, tol: float = 0.0) -> int:
         """1-based position of the eigenvalue nearest ``value``.
@@ -118,12 +130,6 @@ class Spectrum:
                         f"eigenvalues {values[i]} and {values[j]} are closer than twice the "
                         "clustering radius; lower the radius or supply the spectrum explicitly"
                     )
-        zero = np.nonzero(values == 0)[0]
-        expected_ind = int(self.indices[zero[0]]) if zero.size else 0
-        if self.ind_a != expected_ind:
-            raise PreconditionError(
-                f"ind_a is {self.ind_a} but the zero eigenvalue data implies {expected_ind}"
-            )
         if self.u < max(self.ind_a, 1):
             raise PreconditionError(f"u must be at least max(ind_a, 1) = {max(self.ind_a, 1)}")
         return self
@@ -135,10 +141,28 @@ class Spectrum:
         ``"worst_case"`` (exponent = multiplicity, u = dimension), or an
         explicit sequence aligned with the eigenvalue order.
         """
-        ulist, u = _exponent_choice(
-            exponents, self.multiplicities, self.indices, self.ind_a, self.source_dim,
-            zero_pos=_zero_position(self.eigenvalues),
-        )
+        if exponents == "minimal":
+            return replace(self, exponents=self.indices, u=max(self.ind_a, 1))
+        if exponents == "worst_case":
+            return replace(self, exponents=self.multiplicities, u=self.source_dim)
+        if isinstance(exponents, str):
+            raise PreconditionError(
+                f"unknown exponent policy {exponents!r}; use 'minimal', 'worst_case', "
+                "or an explicit integer sequence"
+            )
+        ulist = tuple(int(v) for v in exponents)
+        if len(ulist) != self.s:
+            raise PreconditionError(f"expected {self.s} explicit exponents, got {len(ulist)}")
+        for i, (ue, nu) in enumerate(zip(ulist, self.indices)):
+            if ue < nu:
+                raise PreconditionError(
+                    f"explicit exponent {ue} at position {i + 1} violates the "
+                    f"lower bound {nu} set by that eigenvalue's index"
+                )
+        pos = self.zero_position
+        u = 1 if pos is None else ulist[pos]
+        if u < max(self.ind_a, 1):
+            raise PreconditionError(f"inner power {u} must be at least max(ind_a, 1)")
         return replace(self, exponents=ulist, u=u)
 
     def shifted(self, k: int) -> "Spectrum":
@@ -154,55 +178,23 @@ class Spectrum:
         lam = self.eigenvalues[k - 1]
         values = [v - lam for v in self.eigenvalues]
         values[k - 1] = 0j
+        return self._resorted(values, u=self.exponents[k - 1])
+
+    def _resorted(self, values, **changes) -> "Spectrum":
+        """Copy with the eigenvalues replaced by ``values`` (aligned with the
+        current positions) and every per-position field re-sorted canonically."""
         order = canonical_order(values)
-        return Spectrum(
+        return replace(
+            self,
             eigenvalues=tuple(complex(values[i]) for i in order),
             multiplicities=tuple(self.multiplicities[i] for i in order),
             indices=tuple(self.indices[i] for i in order),
             exponents=tuple(self.exponents[i] for i in order),
-            ind_a=int(self.indices[k - 1]),
-            u=int(self.exponents[k - 1]),
-            source_dim=self.source_dim,
+            **changes,
         )
 
 
-def _zero_position(values) -> int | None:
-    """0-based position of the exact-zero eigenvalue, or None."""
-    for i, v in enumerate(values):
-        if v == 0:
-            return i
-    return None
-
-
-def _exponent_choice(exponents, multiplicities, indices, ind_a, n, zero_pos):
-    """Resolve an exponent policy into (per-eigenvalue tuple, inner power u)."""
-    if exponents == "minimal":
-        return tuple(int(v) for v in indices), max(int(ind_a), 1)
-    if exponents == "worst_case":
-        return tuple(int(m) for m in multiplicities), int(n)
-    if isinstance(exponents, str):
-        raise PreconditionError(
-            f"unknown exponent policy {exponents!r}; use 'minimal', 'worst_case', "
-            "or an explicit integer sequence"
-        )
-    ulist = tuple(int(v) for v in exponents)
-    if len(ulist) != len(indices):
-        raise PreconditionError(
-            f"expected {len(indices)} explicit exponents, got {len(ulist)}"
-        )
-    for i, (ue, nu) in enumerate(zip(ulist, indices)):
-        if ue < nu:
-            raise PreconditionError(
-                f"explicit exponent {ue} at position {i + 1} violates the "
-                f"lower bound {nu} set by that eigenvalue's index"
-            )
-    u = ulist[zero_pos] if zero_pos is not None else 1
-    if u < max(int(ind_a), 1):
-        raise PreconditionError(f"inner power {u} must be at least max(ind_a, 1)")
-    return ulist, u
-
-
-def eigenvalues_raw(a, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def eigenvalues_raw(a) -> np.ndarray:
     """All n eigenvalues of ``a``, counted with algebraic multiplicity.
 
     Computed by LAPACK's Hessenberg reduction followed by shifted QR
@@ -318,7 +310,7 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
-    values, mults = cluster_spectrum(eigenvalues_raw(a, cfg), cfg)
+    values, mults = cluster_spectrum(eigenvalues_raw(a), cfg)
     if exponents == "worst_case":
         indices = [int(m) for m in mults]
     else:
@@ -373,19 +365,15 @@ def spectrum_from_data(
 
 
 def _assemble(values, mults, indices, n, cfg, exponents) -> Spectrum:
-    zero_pos = _zero_position(values)
-    ind_a = int(indices[zero_pos]) if zero_pos is not None else 0
-    ulist, u = _exponent_choice(exponents, mults, indices, ind_a, n, zero_pos)
     sp = Spectrum(
         eigenvalues=tuple(complex(v) for v in values),
         multiplicities=tuple(int(m) for m in mults),
         indices=tuple(int(v) for v in indices),
-        exponents=ulist,
-        ind_a=ind_a,
-        u=int(u),
+        exponents=(),
+        u=0,
         source_dim=int(n),
     )
-    return sp.validate(cfg)
+    return sp.with_exponents(exponents).validate(cfg)
 
 
 def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
@@ -399,20 +387,9 @@ def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
         raise PreconditionError(f"position k={k} out of range 1..{sp.s}")
     values = list(sp.eigenvalues)
     values[k - 1] = complex(value)
-    order = canonical_order(values)
-    values = tuple(complex(values[i]) for i in order)
-    indices = tuple(sp.indices[i] for i in order)
-    zero_pos = _zero_position(values)
-    ind_a = int(indices[zero_pos]) if zero_pos is not None else 0
-    if sp.u < max(ind_a, 1):
+    out = sp._resorted(values)
+    if sp.u < max(out.ind_a, 1):
         raise PreconditionError(
-            f"relabeling position {k} to {value!r} would require u >= {ind_a}, have {sp.u}"
+            f"relabeling position {k} to {value!r} would require u >= {out.ind_a}, have {sp.u}"
         )
-    return replace(
-        sp,
-        eigenvalues=values,
-        multiplicities=tuple(sp.multiplicities[i] for i in order),
-        indices=indices,
-        exponents=tuple(sp.exponents[i] for i in order),
-        ind_a=ind_a,
-    )
+    return out

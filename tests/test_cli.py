@@ -1,10 +1,12 @@
 """Command line contract: formats, exit codes, determinism, round trips."""
 
 import json
+import warnings
 
 import numpy as np
 from numpy.testing import assert_allclose
 
+import speccomp.cli
 from speccomp import JordanSpec, build_case, case_document
 from speccomp.cli import main
 from speccomp.documents import document_payload, load_document, matrix_from_block
@@ -203,6 +205,39 @@ class TestExitCodes:
         assert code == 4
         assert "residual" in err
         assert json.loads(out)["residuals"]  # payload still emitted
+
+    def test_overflowing_quotient_is_3(self, tmp_path, capsys):
+        # 1e300 / 1e-10 overflows once the radius keeps 1e-10 off zero
+        doc = write_json(
+            tmp_path / "ratio.json", {"n": 2, "entries": [[1e300, 0], [0, 0], [0, 0], [1e-10, 0]]}
+        )
+        for command in ("projector", "drazin"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run(capsys, [command, "--input", doc, "--tol-eig", "1e-320"])
+            assert code == 3, err
+            assert "quotient" in err
+            assert not any("overflow encountered in divide" in str(w.message) for w in caught)
+
+    def test_nan_residual_is_4(self, tmp_path, capsys, monkeypatch):
+        def residuals(a, sp, z):
+            return {"idempotency": 0.0, "commutation": float("nan"), "annihilation": 0.0}
+
+        monkeypatch.setattr(speccomp.cli, "eigenprojection_residuals", residuals)
+        doc = write_json(tmp_path / "diag02.json", DIAG02)
+        code, _, err = run(capsys, ["projector", "--input", doc])
+        assert code == 4
+        assert "nan exceeds" in err
+
+    def test_huge_jordan_block_is_not_0(self, tmp_path, capsys):
+        doc = write_json(
+            tmp_path / "huge.json", {"n": 2, "entries": [[1e200, 0], [1e200, 0], [0, 0], [1e200, 0]]}
+        )
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run(capsys, ["components", "--input", doc])
+        assert code != 0
+        assert json.loads(out)["spectrum"]["indices"] == [2]
 
 
 class TestDocumentValidation:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from speccomp import (
+    ComponentSet,
     ConditioningError,
     JordanSpec,
     PreconditionError,
@@ -252,3 +253,42 @@ class TestInvariants:
                 continue
             for k in range(1, sp.s + 1):
                 assert rel_frob(lagrange_projector(a, sp, k), component(a, sp, k, 0)) <= 1e-8
+
+
+class TestOneKernel:
+    """The eigenprojection at 0, component and all_components share one product."""
+
+    def test_component_is_the_same_part_as_all_components(self, cases):
+        for a, sp, cs in cases:
+            for k, j in cs.keys():
+                assert np.array_equal(component(a, sp, k, j), cs.part(k, j)), (k, j, sp)
+
+    def test_projection_at_zero_is_the_zero_component(self, cases):
+        seen = 0
+        for a, sp, _ in cases:
+            if sp.zero_position is None:
+                continue
+            seen += 1
+            z = component(a, sp, sp.zero_position + 1, 0)
+            assert np.array_equal(eigenprojection_zero(a, sp), z)
+        assert seen
+
+    def test_overflowing_quotient_is_a_conditioning_error(self):
+        # 1e300 / 1e-10 overflows: finite input, extreme eigenvalue ratio
+        cfg = ToleranceConfig(eig_cluster_radius=1e-320)
+        a = np.diag([1e300, 1e-10])
+        with np.errstate(over="ignore"):
+            sp = analyze(a, cfg)
+            assert sp.eigenvalues == (1e300 + 0j, 1e-10 + 0j)
+            with pytest.raises(ConditioningError, match="quotient"):
+                eigenprojection_zero(a, sp, cfg)
+
+    def test_nan_residual_is_reported(self):
+        # a NaN after a finite term must not be folded away
+        a = np.diag([1.0, 2.0])
+        sp = analyze(a)
+        parts = dict(all_components(a, sp).parts)
+        parts[(2, 0)] = np.full((2, 2), np.nan, dtype=complex)
+        residuals = ComponentSet(source=a, spectrum=sp, parts=parts).residuals()
+        assert np.isnan(residuals["idempotency"])
+        assert np.isnan(residuals["commutation"])

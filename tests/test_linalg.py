@@ -191,3 +191,19 @@ def test_associativity_within_tolerance():
         right = mat_mul(a, mat_mul(b, c))
         scale = max(1.0, frob(a) * frob(b) * frob(c))
         assert frob(left - right) <= 1e-8 * scale
+
+
+class TestFrob:
+    def test_ordinary_input_is_numpy_norm(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        assert frob(a) == float(np.linalg.norm(a, "fro"))
+
+    def test_huge_finite_entries_do_not_overflow(self):
+        with np.errstate(over="ignore"):
+            assert frob(1e200 * np.ones((2, 2))) == pytest.approx(2e200, rel=1e-15)
+            assert frob([[1e300, 0.0], [0.0, 1e300]]) == pytest.approx(np.sqrt(2) * 1e300, rel=1e-15)
+
+    def test_infinite_entries_stay_infinite(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert frob(np.array([[np.inf, 1.0], [0.0, 1.0]])) == np.inf

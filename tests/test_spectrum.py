@@ -1,5 +1,7 @@
 """Eigenstructure: raw eigenvalues, clustering, indices, full analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from speccomp import (
     ClusteringError,
     ConvergenceError,
     PreconditionError,
+    Spectrum,
     ToleranceConfig,
     analyze,
     build_case,
@@ -16,6 +19,7 @@ from speccomp import (
     eigen_index,
     eigenvalues_raw,
     rank_numeric,
+    replace_eigenvalue,
     spectrum_from_data,
 )
 
@@ -222,3 +226,49 @@ class TestSpectrumType:
         assert wc.indices == sp.indices
         assert wc.exponents == (3, 2)
         assert wc.u == 5
+
+
+def _zero_index(sp):
+    """The index at the exact-zero eigenvalue, 0 without one."""
+    zeros = [nu for v, nu in zip(sp.eigenvalues, sp.indices) if v == 0]
+    return zeros[0] if zeros else 0
+
+
+class TestIndA:
+    """ind_a is derived from the zero eigenvalue, never stored."""
+
+    def test_not_a_field(self):
+        assert "ind_a" not in {f.name for f in dataclasses.fields(Spectrum)}
+
+    def test_every_constructor(self):
+        spectra = [
+            analyze(np.diag([0.0, 2.0])),
+            analyze(np.diag([1.0, 2.0])),
+            analyze(np.array([[0, 1], [0, 0]], dtype=complex)),
+            spectrum_from_data([0.0, 3.0], [3, 1], [2, 1]),
+            spectrum_from_data([1.0, 3.0], [3, 1], [2, 1]),
+        ]
+        spectra += [sp.with_exponents("worst_case") for sp in spectra]
+        spectra += [sp.shifted(k) for sp in list(spectra) for k in range(1, sp.s + 1)]
+        spectra += [replace_eigenvalue(spectrum_from_data([1e-3, 3.0], [2, 1], [1, 1]), 2, 0.0)]
+        for sp in spectra:
+            assert sp.ind_a == _zero_index(sp), sp
+            pos = sp.zero_position
+            assert (pos is None) == (0 not in sp.eigenvalues)
+            if pos is not None:
+                assert sp.eigenvalues[pos] == 0
+
+    def test_relabel_to_zero_sets_ind_a(self):
+        sp = spectrum_from_data([1.0, 3.0], [3, 1], [1, 1])
+        assert sp.ind_a == 0
+        relabeled = replace_eigenvalue(sp, sp.position_of(1.0), 0.0)
+        assert relabeled.ind_a == 1
+        assert relabeled.zero_position == relabeled.position_of(0.0) - 1
+
+
+class TestHugeEntries:
+    def test_index_of_huge_jordan_block(self):
+        # the Frobenius norm of these entries overflows without rescaling
+        with np.errstate(over="ignore"):
+            sp = analyze(1e200 * np.array([[1, 1], [0, 1]], dtype=complex))
+        assert sp.indices == (2,)
