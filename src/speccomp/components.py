@@ -25,7 +25,6 @@ __all__ = [
     "eigenprojection_zero",
     "component",
     "all_components",
-    "lagrange_projector",
     "eigenprojection_residuals",
 ]
 
@@ -256,35 +255,6 @@ def all_components(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> Compo
         for j, z in enumerate(_orders(a, sp, k, sp.indices[k - 1] - 1, cfg)):
             parts[(k, j)] = z
     return ComponentSet(source=a, spectrum=sp, parts=parts)
-
-
-def lagrange_projector(a, sp: Spectrum, k: int, cfg: ToleranceConfig | None = None) -> np.ndarray:
-    """Classical Lagrange-product projector, for diagonalizable matrices only.
-
-    Requires every index to equal 1, and evaluates
-    ``prod_{i != k} (A - lam_i I) / (lam_k - lam_i)`` — the textbook
-    interpolation form that the general component product reduces to in
-    this case. Agrees with ``component(a, sp, k, 0)`` to working accuracy.
-    """
-    a = as_matrix(a)
-    cfg = cfg or DEFAULT_TOLERANCES
-    _check_pair(a, sp)
-    if not 1 <= k <= sp.s:
-        raise PreconditionError(f"position k={k} out of range 1..{sp.s}")
-    bad = [i + 1 for i, nu in enumerate(sp.indices) if nu != 1]
-    if bad:
-        raise PreconditionError(
-            f"Lagrange projector needs every index equal to 1; positions {bad} violate that"
-        )
-    lam_k = sp.eigenvalues[k - 1]
-    eye = identity(a.shape[0])
-    z = eye
-    for pos in range(sp.s):
-        if pos == k - 1:
-            continue
-        lam_i = sp.eigenvalues[pos]
-        z = _guard(z @ ((a - lam_i * eye) / (lam_k - lam_i)), cfg, "running product")
-    return z
 
 
 def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:

@@ -18,8 +18,6 @@ emitted matrix re-parses to bit-identical values.
 from __future__ import annotations
 
 import json
-import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -182,48 +180,11 @@ def csv_render(named_matrices) -> str:
     lines = []
     for name, m in named_matrices:
         lines.append(name)
-        for row in np.asarray(m, dtype=complex):
-            cells = []
-            for z in row:
-                cells.append(repr(float(z.real)))
-                cells.append(repr(float(z.imag)))
-            lines.append(",".join(cells))
+        rows = np.ascontiguousarray(m, dtype=complex).view(float).tolist()
+        lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\n"``, byte for byte, but faster.
-
-    Dicts with string keys and lists are laid out here; a list of finite
-    ``[re, im]`` float pairs is formatted in one pass of a ``%r`` template.
-    Everything else (scalars, non-finite floats, tuples, other key types)
-    is left to ``json`` and re-indented: its output holds no raw newline
-    besides the ones it lays out, so the re-indent is exact.
-    """
-    return _json_text(obj, "\n") + "\n"
-
-
-def _json_text(obj, indent: str) -> str:
-    # one join per container: a body can run to megabytes, and each + would copy it
-    inner = indent + "  "
-    if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
-        return "".join(("{", inner, ("," + inner).join(items), indent, "}"))
-    if type(obj) is list and obj:
-        pairs = _pairs_text(obj, inner)
-        if pairs is None:
-            pairs = ("," + inner).join(_json_text(item, inner) for item in obj)
-        return "".join(("[", inner, pairs, indent, "]"))
-    return json.dumps(obj, indent=2).replace("\n", indent)
-
-
-def _pairs_text(items: list, indent: str):
-    """The items of a list of finite float pairs, laid out at ``indent``; else None."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(items))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    inner = indent + "  "
-    pair = "[" + inner + "%r," + inner + "%r" + indent + "]"
-    return ("," + indent).join([pair] * len(items)) % flat
+    """``obj`` as one line of JSON and a newline: the report format."""
+    return json.dumps(obj) + "\n"

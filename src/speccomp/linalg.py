@@ -83,7 +83,8 @@ def frob(a) -> float:
     The sum of squares overflows once entries pass about 1e154; only then is
     the norm taken again of ``a`` scaled by its largest entry magnitude.
     """
-    norm = float(np.linalg.norm(a, "fro"))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a, "fro"))
     if norm == np.inf:
         scale = float(np.max(np.abs(a)))
         if np.isfinite(scale):

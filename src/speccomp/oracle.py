@@ -10,7 +10,9 @@ Two routes that share no code with the product-formula engine:
   from orthonormal bases of the generalized eigenspaces.
 
 Disagreement between either route and the product formulas flags a bug in
-one of them.
+one of them. :func:`lagrange_projector` is the classical interpolation
+product for diagonalizable matrices, the case the product formulas reduce
+to; it shares only the engine's input check and conditioning guard.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import ComponentSet
+from .components import ComponentSet, _check_pair, _guard
 from .documents import document_payload
 from .exceptions import ConditioningError, PreconditionError, SingularMatrixError
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, identity, mat_pow, solve
@@ -31,6 +33,7 @@ __all__ = [
     "case_document",
     "components_by_nullspace",
     "integer_similarity",
+    "lagrange_projector",
 ]
 
 
@@ -235,3 +238,32 @@ def components_by_nullspace(a, sp: Spectrum, cfg: ToleranceConfig | None = None)
             acc = shifted @ acc / j
             parts[(k, j)] = acc
     return ComponentSet(source=a, spectrum=sp, parts=parts)
+
+
+def lagrange_projector(a, sp: Spectrum, k: int, cfg: ToleranceConfig | None = None) -> np.ndarray:
+    """Classical Lagrange-product projector, for diagonalizable matrices only.
+
+    Requires every index to equal 1, and evaluates
+    ``prod_{i != k} (A - lam_i I) / (lam_k - lam_i)`` — the textbook
+    interpolation form that the general component product reduces to in
+    this case. Agrees with ``component(a, sp, k, 0)`` to working accuracy.
+    """
+    a = as_matrix(a)
+    cfg = cfg or DEFAULT_TOLERANCES
+    _check_pair(a, sp)
+    if not 1 <= k <= sp.s:
+        raise PreconditionError(f"position k={k} out of range 1..{sp.s}")
+    bad = [i + 1 for i, nu in enumerate(sp.indices) if nu != 1]
+    if bad:
+        raise PreconditionError(
+            f"Lagrange projector needs every index equal to 1; positions {bad} violate that"
+        )
+    lam_k = sp.eigenvalues[k - 1]
+    eye = identity(a.shape[0])
+    z = eye
+    for pos in range(sp.s):
+        if pos == k - 1:
+            continue
+        lam_i = sp.eigenvalues[pos]
+        z = _guard(z @ ((a - lam_i * eye) / (lam_k - lam_i)), cfg, "running product")
+    return z

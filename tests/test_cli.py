@@ -239,6 +239,20 @@ class TestExitCodes:
         assert code != 0
         assert json.loads(out)["spectrum"]["indices"] == [2]
 
+    def test_huge_finite_entries_exit_0_with_empty_stderr(self, tmp_path, capsys):
+        huge = write_json(
+            tmp_path / "huge.json", {"n": 2, "entries": [[1e200, 0], [1e200, 0], [0, 0], [1e200, 0]]}
+        )
+        ratio = write_json(
+            tmp_path / "ratio.json", {"n": 2, "entries": [[1e300, 0], [0, 0], [0, 0], [1e-10, 0]]}
+        )
+        for command, doc in (("spectrum", huge), ("projector", huge), ("drazin", huge),
+                             ("projector", ratio)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run(capsys, [command, "--input", doc])
+            assert (code, err) == (0, ""), command
+
 
 class TestDocumentValidation:
     def test_spectrum_multiplicity_sum_checked(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Matrix-core primitives: products, powers, rank, solve."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,12 @@ class TestFrob:
         with np.errstate(over="ignore"):
             assert frob(1e200 * np.ones((2, 2))) == pytest.approx(2e200, rel=1e-15)
             assert frob([[1e300, 0.0], [0.0, 1e300]]) == pytest.approx(np.sqrt(2) * 1e300, rel=1e-15)
+
+    def test_huge_finite_entries_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = frob(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert norm == pytest.approx(np.sqrt(3) * 1e200, rel=1e-15)
 
     def test_infinite_entries_stay_infinite(self):
         with np.errstate(over="ignore", invalid="ignore"):
