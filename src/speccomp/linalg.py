@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConditioningError, PreconditionError, SingularMatrixError
 
@@ -157,7 +156,12 @@ def solve(a, b, cfg: ToleranceConfig | None = None) -> np.ndarray:
     Raises :class:`SingularMatrixError`, carrying the offending pivot
     magnitude, when the smallest pivot falls below ``rank_rel_threshold``
     relative to the largest.
+
+    ``scipy.linalg`` is loaded on the first call, not at import: only the
+    Drazin inverse and the oracle solve, so nothing else pays for it.
     """
+    import scipy.linalg
+
     a = as_matrix(a)
     b = as_matrix(b)
     cfg = cfg or DEFAULT_TOLERANCES
