@@ -122,14 +122,12 @@ class Spectrum:
                     f"exponent {ue} smaller than index {nu} at position {i + 1}"
                 )
         values = np.asarray(self.eigenvalues, dtype=complex)
-        radius = effective_cluster_radius(values, cfg)
-        for i in range(s):
-            for j in range(i + 1, s):
-                if abs(values[i] - values[j]) <= 2.0 * radius:
-                    raise ClusteringError(
-                        f"eigenvalues {values[i]} and {values[j]} are closer than twice the "
-                        "clustering radius; lower the radius or supply the spectrum explicitly"
-                    )
+        _require_separated(
+            values,
+            effective_cluster_radius(values, cfg),
+            "eigenvalues {} and {} are closer than twice the clustering radius; lower the "
+            "radius or supply the spectrum explicitly",
+        )
         if self.u < max(self.ind_a, 1):
             raise PreconditionError(f"u must be at least max(ind_a, 1) = {max(self.ind_a, 1)}")
         return self
@@ -194,6 +192,18 @@ class Spectrum:
         )
 
 
+def _require_separated(values: np.ndarray, radius: float, message: str) -> None:
+    """Raise :class:`ClusteringError` if two of ``values`` lie within twice ``radius``.
+
+    The first such pair ``i < j`` in row-major order fills the two ``{}``
+    fields of ``message``.
+    """
+    close = np.triu(np.abs(values[:, None] - values) <= 2.0 * radius, 1)
+    if close.any():
+        i, j = divmod(int(close.argmax()), len(values))
+        raise ClusteringError(message.format(values[i], values[j]))
+
+
 def eigenvalues_raw(a) -> np.ndarray:
     """All n eigenvalues of ``a``, counted with algebraic multiplicity.
 
@@ -248,14 +258,12 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
 
     cents = np.array(centroids, dtype=complex)
     cents[np.abs(cents) <= radius] = 0.0
-    for i in range(len(cents)):
-        for j in range(i + 1, len(cents)):
-            if abs(cents[i] - cents[j]) <= 2.0 * radius:
-                raise ClusteringError(
-                    f"ambiguous clustering: centroids {cents[i]} and {cents[j]} are "
-                    "closer than twice the clustering radius; adjust the radius or "
-                    "supply the spectrum explicitly"
-                )
+    _require_separated(
+        cents,
+        radius,
+        "ambiguous clustering: centroids {} and {} are closer than twice the clustering "
+        "radius; adjust the radius or supply the spectrum explicitly",
+    )
     order = canonical_order(cents)
     return cents[order], np.array(counts, dtype=int)[order]
 
@@ -301,7 +309,11 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
     ``exponents`` selects how the product-formula powers are chosen:
 
     - ``"minimal"``: exponent = index, u = max(ind A, 1). Smallest valid
-      powers, at the cost of one rank-plateau search per eigenvalue.
+      powers, at the cost of one rank-plateau search per repeated
+      eigenvalue. A simple eigenvalue (multiplicity 1) has index 1, since
+      ``1 <= index <= multiplicity``, and gets it without a search; whether
+      its cluster really is an eigenvalue is left to the residuals of the
+      caller's result.
     - ``"worst_case"``: exponent = multiplicity, u = n. Always valid and
       needs no rank computations (indices are recorded as their
       multiplicity upper bounds), trading larger products for robustness.
@@ -316,7 +328,8 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
     else:
         indices = []
         for v, m in zip(values, mults):
-            nu = eigen_index(a, v, cfg)
+            # 1 <= index <= multiplicity: a simple eigenvalue needs no search
+            nu = 1 if m == 1 else eigen_index(a, v, cfg)
             if nu < 1:
                 raise ClusteringError(
                     f"clustered value {v} is not an eigenvalue at the current rank "

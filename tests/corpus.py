@@ -96,10 +96,38 @@ def random_diagonalizable(rng, n_max=6, min_sep=0.5):
     return v @ np.diag(lam) @ np.linalg.inv(v)
 
 
+def _stochastic(rows):
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 def random_stochastic(rng, n=5):
     """Row-stochastic matrix with strictly positive entries."""
-    rows = rng.random((n, n)) + 0.05
-    return (rows / rows.sum(axis=1, keepdims=True)).astype(complex)
+    return _stochastic(rng.random((n, n)) + 0.05).astype(complex)
+
+
+def periodic_chain(rng, n, period):
+    """Classes C_0..C_{d-1} of n // d states each; C_i moves only to C_{i+1 mod d}."""
+    m = n // period
+    p = np.zeros((n, n))
+    for i in range(period):
+        j = (i + 1) % period
+        p[i * m:(i + 1) * m, j * m:(j + 1) * m] = _stochastic(rng.random((m, m)) + 0.05)
+    return p.astype(complex)
+
+
+def reducible_chain(rng, closed, transient):
+    """Positive closed classes of the given sizes plus ``transient`` >= 1
+    states that leak into all of them."""
+    n = sum(closed) + transient
+    p = np.zeros((n, n))
+    start = 0
+    for size in closed:
+        p[start:start + size, start:start + size] = _stochastic(rng.random((size, size)) + 0.05)
+        start += size
+    rows = rng.random((transient, n)) + 0.05
+    rows[:, start:] *= 2.0 / transient
+    p[start:] = _stochastic(rows)
+    return p.astype(complex)
 
 
 def cesaro_average(p, m):

@@ -1,28 +1,44 @@
 """Matrix functions, Drazin inverse, stochastic limiting matrices."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from speccomp import (
     JordanSpec,
     PreconditionError,
     ScalarFunctionJet,
+    SpectralError,
+    ToleranceConfig,
     analyze,
     all_components,
     build_case,
     cesaro_limit,
     cesaro_residuals,
+    components_by_nullspace,
     drazin_inverse,
     drazin_residuals,
     mat_pow,
     matrix_function,
+    replace_eigenvalue,
     solve,
 )
+from speccomp.cli import main
+from speccomp.documents import document_payload
 
-from corpus import cesaro_average, corpus, random_stochastic, rel_frob
+from corpus import (
+    cesaro_average,
+    corpus,
+    periodic_chain,
+    random_stochastic,
+    reducible_chain,
+    rel_frob,
+)
 
 IDENTITY_JET = ScalarFunctionJet(lambda lam, j: lam if j == 0 else (1.0 if j == 1 else 0.0), 30)
 EXP_JET = ScalarFunctionJet(lambda lam, j: np.exp(lam), 30)
@@ -137,3 +153,73 @@ class TestCesaro:
             cesaro_limit(np.array([[0.5, 0.2], [0.3, 0.7]]))
         with pytest.raises(PreconditionError, match="stochastic"):
             cesaro_limit(np.array([[1.5, -0.5], [0.0, 1.0]]))
+
+
+def _projector_at_one(p, cfg=None):
+    """Eigenvalue-1 projector of ``components_by_nullspace``.
+
+    The spectrum comes from the worst-case policy (indices recorded as
+    multiplicities), so it runs no index search; the cluster nearest 1 is
+    relabeled as exactly 1, as ``cesaro_limit`` does.
+    """
+    sp = analyze(p, cfg, exponents="worst_case")
+    values = np.asarray(sp.eigenvalues)
+    sp = replace_eigenvalue(sp, int(np.abs(values - 1.0).argmin()) + 1, 1.0)
+    return components_by_nullspace(p, sp, cfg).parts[(sp.position_of(1.0), 0)]
+
+
+def _chain_with_close_simple_eigenvalues():
+    """The n=48 reducible chain of round 1 of the chains benchmark at seed 401.
+
+    Two of its simple eigenvalues, near -0.0397, are 2.9e-6 apart: the
+    clustering keeps them apart, and a rank search gives each index 2.
+    """
+    rng = np.random.default_rng([401, 1])
+    random_stochastic(rng, 16)  # the round's first two chains, drawn only to advance rng
+    periodic_chain(rng, 33, 3)
+    return reducible_chain(rng, [16, 12, 12], 8)
+
+
+class TestCesaroCloseSimpleEigenvalues:
+    def test_limit_is_returned_and_verified(self):
+        p = _chain_with_close_simple_eigenvalues()
+        values = np.sort_complex(np.linalg.eigvals(p))
+        assert np.min(np.abs(np.diff(values))) < 1e-5
+        cfg = ToleranceConfig()
+        limit = cesaro_limit(p, cfg)
+        assert max(cesaro_residuals(p, limit).values()) <= cfg.verify_tol
+        assert np.max(np.abs(limit - _projector_at_one(p, cfg))) <= 1e-8
+
+    def test_cli_exits_0(self, tmp_path, capsys):
+        doc = tmp_path / "chain.json"
+        doc.write_text(json.dumps(document_payload(_chain_with_close_simple_eigenvalues())),
+                       encoding="utf-8")
+        assert main(["cesaro", "--input", str(doc)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert max(report["residuals"].values()) <= report["tolerances"]["verify_tol"]
+
+
+@st.composite
+def stochastic_chains(draw):
+    """Positive, periodic or reducible row-stochastic chains with 3 to 12 states."""
+    kind = draw(st.sampled_from(["positive", "periodic", "reducible"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "positive":
+        return random_stochastic(rng, draw(st.integers(3, 12)))
+    if kind == "periodic":
+        period = draw(st.integers(2, 4))
+        size = draw(st.integers(-(-3 // period), 12 // period))
+        return periodic_chain(rng, period * size, period)
+    closed = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    transient = draw(st.integers(max(1, 3 - sum(closed)), 12 - sum(closed)))
+    return reducible_chain(rng, closed, transient)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stochastic_chains())
+def test_cesaro_limit_is_right_or_a_typed_error(p):
+    try:
+        limit = cesaro_limit(p)
+    except SpectralError:
+        return
+    assert np.max(np.abs(limit - _projector_at_one(p))) <= 1e-8

@@ -23,7 +23,7 @@ from speccomp import (
     spectrum_from_data,
 )
 
-from corpus import corpus, random_spec
+from corpus import corpus, random_spec, random_stochastic
 
 # Wide-radius config for matrices with defective eigenvalues computed
 # numerically: their eigenvalue approximations scatter like eps**(1/index),
@@ -84,6 +84,25 @@ class TestClustering:
         cfg = ToleranceConfig(eig_cluster_radius=1e-6)
         with pytest.raises(ClusteringError):
             cluster_spectrum([1.0, 1.0 + 1.5e-6], cfg)
+
+    def test_first_close_pair_in_row_major_order(self):
+        # canonical order 3, 2.999999995i, 2.99999996i, 2.99999995; with
+        # radius 3e-8 no value merges, and both (0, 3) and (1, 2) lie within
+        # twice the radius: the report names (0, 3)
+        values = [3.0, 2.99999995, 2.99999996j, 2.999999995j]
+        pair = (f"{np.complex128(3.0)} and {np.complex128(2.99999995)} are closer than twice "
+                "the clustering radius; ")
+        with pytest.raises(ClusteringError) as excinfo:
+            cluster_spectrum(values)
+        assert str(excinfo.value) == (
+            f"ambiguous clustering: centroids {pair}adjust the radius or supply the spectrum "
+            "explicitly"
+        )
+        with pytest.raises(ClusteringError) as excinfo:
+            spectrum_from_data(values, [1] * 4, [1] * 4)
+        assert str(excinfo.value) == (
+            f"eigenvalues {pair}lower the radius or supply the spectrum explicitly"
+        )
 
 
 class TestEigenIndex:
@@ -184,6 +203,44 @@ class TestAnalyze:
         for spec in corpus(20, master_seed=5150):
             a, _, sp = build_case(spec)
             assert (sp.ind_a == 0) == (rank_numeric(a) == a.shape[0])
+
+
+def _search_cases():
+    """(matrix, config) pairs: the Jordan corpus, generic n=16 matrices and
+    positive n=16 chains."""
+    cases = [(build_case(spec)[0], WIDE) for spec in corpus(30, master_seed=24601)]
+    rng = np.random.default_rng(16)
+    for _ in range(4):
+        cases.append((rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)), None))
+        cases.append((random_stochastic(rng, 16), None))
+    return cases
+
+
+class TestIndexSearchScope:
+    """analyze searches for the index only where the multiplicity leaves it open."""
+
+    def test_searches_repeated_clusters_only(self, monkeypatch):
+        real = speccomp.spectrum.eigen_index
+        calls = []
+
+        def counted(a, lam, cfg=None):
+            calls.append(complex(lam))
+            return real(a, lam, cfg)
+
+        monkeypatch.setattr(speccomp.spectrum, "eigen_index", counted)
+        repeated = simple = 0
+        for a, cfg in _search_cases():
+            calls.clear()
+            sp = analyze(a, cfg)
+            assert calls == [v for v, m in zip(sp.eigenvalues, sp.multiplicities) if m > 1]
+            repeated += len(calls)
+            simple += sp.multiplicities.count(1)
+        assert repeated and simple
+
+    def test_indices_match_a_full_search(self):
+        for a, cfg in _search_cases():
+            sp = analyze(a, cfg)
+            assert list(sp.indices) == [eigen_index(a, v, cfg) for v in sp.eigenvalues]
 
 
 class TestSpectrumType:
