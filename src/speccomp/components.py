@@ -128,12 +128,29 @@ def _idempotency(z: np.ndarray) -> float:
 
 def _commutation(a: np.ndarray, z: np.ndarray) -> float:
     """Residual of A @ Z = Z @ A."""
-    return frob(a @ z - z @ a) / max(1.0, frob(a) * frob(z))
+    return _bilinear(a, z, lambda x, y: x @ y - y @ x)
 
 
 def _annihilation(killer: np.ndarray, z: np.ndarray) -> float:
     """Residual of killer @ Z = 0."""
-    return frob(killer @ z) / max(1.0, frob(killer) * frob(z))
+    return _bilinear(killer, z, lambda x, y: x @ y)
+
+
+# Entries of x @ y - y @ x are at most 2 frob(x) frob(y) in magnitude.
+_FINITE_PRODUCT = np.finfo(float).max / 4
+
+
+def _bilinear(x: np.ndarray, y: np.ndarray, form) -> float:
+    """``frob(form(x, y)) / max(1, frob(x) * frob(y))`` for a bilinear ``form``.
+
+    Past the norm product at which ``form`` could overflow, the ratio, which
+    is scale-free once that product exceeds 1, is taken on ``x`` and ``y``
+    divided by their norms.
+    """
+    fx, fy = frob(x), frob(y)
+    if fx * fy > _FINITE_PRODUCT:
+        return frob(form(x / fx, y / fy))
+    return frob(form(x, y)) / max(1.0, fx * fy)
 
 
 def _guard(m: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
@@ -199,8 +216,7 @@ def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) ->
 
 
 def _order_check(sp: Spectrum, k: int, j: int) -> None:
-    if not 1 <= k <= sp.s:
-        raise PreconditionError(f"position k={k} out of range 1..{sp.s}")
+    sp._check_position(k)
     nu = sp.indices[k - 1]
     if not 0 <= j <= nu - 1:
         raise PreconditionError(f"order j={j} out of range 0..{nu - 1} at position {k}")

@@ -32,7 +32,6 @@ __all__ = [
     "build_case",
     "case_document",
     "components_by_nullspace",
-    "integer_similarity",
     "lagrange_projector",
 ]
 
@@ -251,8 +250,7 @@ def lagrange_projector(a, sp: Spectrum, k: int, cfg: ToleranceConfig | None = No
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
-    if not 1 <= k <= sp.s:
-        raise PreconditionError(f"position k={k} out of range 1..{sp.s}")
+    sp._check_position(k)
     bad = [i + 1 for i, nu in enumerate(sp.indices) if nu != 1]
     if bad:
         raise PreconditionError(

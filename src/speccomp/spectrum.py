@@ -17,16 +17,7 @@ import numpy as np
 from .exceptions import ClusteringError, ConvergenceError, PreconditionError
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, rank_numeric
 
-__all__ = [
-    "Spectrum",
-    "eigenvalues_raw",
-    "cluster_spectrum",
-    "eigen_index",
-    "analyze",
-    "spectrum_from_data",
-    "effective_cluster_radius",
-    "replace_eigenvalue",
-]
+__all__ = ["Spectrum", "analyze", "spectrum_from_data"]
 
 
 def canonical_order(values) -> np.ndarray:
@@ -112,14 +103,10 @@ class Spectrum:
             raise PreconditionError(
                 f"multiplicities sum to {sum(self.multiplicities)}, expected {self.source_dim}"
             )
-        for i, (m, nu, ue) in enumerate(zip(self.multiplicities, self.indices, self.exponents)):
+        for i, (m, nu) in enumerate(zip(self.multiplicities, self.indices)):
             if not 1 <= nu <= m:
                 raise PreconditionError(
                     f"index {nu} out of range 1..{m} at position {i + 1}"
-                )
-            if ue < nu:
-                raise PreconditionError(
-                    f"exponent {ue} smaller than index {nu} at position {i + 1}"
                 )
         values = np.asarray(self.eigenvalues, dtype=complex)
         _require_separated(
@@ -128,9 +115,26 @@ class Spectrum:
             "eigenvalues {} and {} are closer than twice the clustering radius; lower the "
             "radius or supply the spectrum explicitly",
         )
+        return self._check_powers()
+
+    def _check_powers(self) -> "Spectrum":
+        """Raise :class:`PreconditionError` unless every exponent is at least
+        its index and ``u >= max(ind_a, 1)``; returns self."""
+        for i, (ue, nu) in enumerate(zip(self.exponents, self.indices)):
+            if ue < nu:
+                raise PreconditionError(
+                    f"exponent {ue} smaller than index {nu} at position {i + 1}"
+                )
         if self.u < max(self.ind_a, 1):
-            raise PreconditionError(f"u must be at least max(ind_a, 1) = {max(self.ind_a, 1)}")
+            raise PreconditionError(
+                f"inner power u = {self.u} must be at least max(ind_a, 1) = {max(self.ind_a, 1)}"
+            )
         return self
+
+    def _check_position(self, k: int) -> None:
+        """Raise :class:`PreconditionError` unless ``1 <= k <= s``."""
+        if not 1 <= k <= self.s:
+            raise PreconditionError(f"position k={k} out of range 1..{self.s}")
 
     def with_exponents(self, exponents) -> "Spectrum":
         """Same eigenvalues, multiplicities and indices, new exponent choice.
@@ -151,17 +155,9 @@ class Spectrum:
         ulist = tuple(int(v) for v in exponents)
         if len(ulist) != self.s:
             raise PreconditionError(f"expected {self.s} explicit exponents, got {len(ulist)}")
-        for i, (ue, nu) in enumerate(zip(ulist, self.indices)):
-            if ue < nu:
-                raise PreconditionError(
-                    f"explicit exponent {ue} at position {i + 1} violates the "
-                    f"lower bound {nu} set by that eigenvalue's index"
-                )
         pos = self.zero_position
         u = 1 if pos is None else ulist[pos]
-        if u < max(self.ind_a, 1):
-            raise PreconditionError(f"inner power {u} must be at least max(ind_a, 1)")
-        return replace(self, exponents=ulist, u=u)
+        return replace(self, exponents=ulist, u=u)._check_powers()
 
     def shifted(self, k: int) -> "Spectrum":
         """Spectrum of ``A - lambda_k I`` given this spectrum of ``A``.
@@ -171,8 +167,7 @@ class Spectrum:
         power ``u`` becomes the k-th exponent: the shifted matrix has index
         equal to the k-th index, which that exponent dominates.
         """
-        if not 1 <= k <= self.s:
-            raise PreconditionError(f"position k={k} out of range 1..{self.s}")
+        self._check_position(k)
         lam = self.eigenvalues[k - 1]
         values = [v - lam for v in self.eigenvalues]
         values[k - 1] = 0j
@@ -257,7 +252,13 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
             counts.append(1)
 
     cents = np.array(centroids, dtype=complex)
-    cents[np.abs(cents) <= radius] = 0.0
+    counts = np.array(counts, dtype=int)
+    zero = np.flatnonzero(np.abs(cents) <= radius)
+    if zero.size:
+        # every cluster that snaps to 0 is part of the one eigenvalue 0
+        cents[zero[0]] = 0.0
+        counts[zero[0]] = counts[zero].sum()
+        cents, counts = np.delete(cents, zero[1:]), np.delete(counts, zero[1:])
     _require_separated(
         cents,
         radius,
@@ -265,7 +266,7 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
         "radius; adjust the radius or supply the spectrum explicitly",
     )
     order = canonical_order(cents)
-    return cents[order], np.array(counts, dtype=int)[order]
+    return cents[order], counts[order]
 
 
 def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
@@ -367,26 +368,23 @@ def spectrum_from_data(
         raise PreconditionError("eigenvalues, multiplicities and indices must have equal length")
     if n is None:
         n = sum(mults)
-    radius = effective_cluster_radius(values, cfg)
-    values = values.copy()
-    values[np.abs(values) <= radius] = 0.0
-    order = canonical_order(values)
-    values = values[order]
-    mults = [mults[i] for i in order]
-    inds = [inds[i] for i in order]
+    values = np.where(np.abs(values) <= effective_cluster_radius(values, cfg), 0j, values)
     return _assemble(values, mults, inds, int(n), cfg, exponents)
 
 
 def _assemble(values, mults, indices, n, cfg, exponents) -> Spectrum:
+    """Validated Spectrum of the aligned ``values``, ``mults`` and ``indices``,
+    sorted canonically before the exponent policy applies."""
+    indices = tuple(int(v) for v in indices)
     sp = Spectrum(
-        eigenvalues=tuple(complex(v) for v in values),
+        eigenvalues=(),
         multiplicities=tuple(int(m) for m in mults),
-        indices=tuple(int(v) for v in indices),
-        exponents=(),
+        indices=indices,
+        exponents=indices,
         u=0,
         source_dim=int(n),
     )
-    return sp.with_exponents(exponents).validate(cfg)
+    return sp._resorted(values).with_exponents(exponents).validate(cfg)
 
 
 def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
@@ -396,13 +394,7 @@ def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
     matrices, 1) onto that exact value; the cluster's multiplicity, index
     and exponent are kept. The result is re-sorted canonically.
     """
-    if not 1 <= k <= sp.s:
-        raise PreconditionError(f"position k={k} out of range 1..{sp.s}")
+    sp._check_position(k)
     values = list(sp.eigenvalues)
     values[k - 1] = complex(value)
-    out = sp._resorted(values)
-    if sp.u < max(out.ind_a, 1):
-        raise PreconditionError(
-            f"relabeling position {k} to {value!r} would require u >= {out.ind_a}, have {sp.u}"
-        )
-    return out
+    return sp._resorted(values)._check_powers()

@@ -9,7 +9,8 @@ the formulas, not an unlucky similarity transform.
 
 import numpy as np
 
-from speccomp import JordanSpec, integer_similarity
+from speccomp import JordanSpec
+from speccomp.oracle import integer_similarity
 
 POOL = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
 

@@ -23,13 +23,12 @@ from speccomp import (
     components_by_nullspace,
     drazin_inverse,
     drazin_residuals,
-    mat_pow,
     matrix_function,
-    replace_eigenvalue,
-    solve,
 )
 from speccomp.cli import main
 from speccomp.documents import document_payload
+from speccomp.linalg import mat_pow, solve
+from speccomp.spectrum import replace_eigenvalue
 
 from corpus import (
     cesaro_average,

@@ -229,15 +229,18 @@ class TestExitCodes:
         assert code == 4
         assert "nan exceeds" in err
 
-    def test_huge_jordan_block_is_not_0(self, tmp_path, capsys):
+    def test_huge_jordan_block_components_exit_0(self, tmp_path, capsys):
+        # A @ Z_1_1 overflows here; the residuals must still be read scale-free
         doc = write_json(
             tmp_path / "huge.json", {"n": 2, "entries": [[1e200, 0], [1e200, 0], [0, 0], [1e200, 0]]}
         )
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, out, _ = run(capsys, ["components", "--input", doc])
-        assert code != 0
-        assert json.loads(out)["spectrum"]["indices"] == [2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["components", "--input", doc])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["spectrum"]["indices"] == [2]
+        assert all(r <= report["tolerances"]["verify_tol"] for r in report["residuals"].values())
 
     def test_huge_finite_entries_exit_0_with_empty_stderr(self, tmp_path, capsys):
         huge = write_json(

@@ -61,7 +61,7 @@ class TestEigenprojectionZero:
     def test_rank_complement_identity(self):
         # rank Z = n - rank A^indA, checked where both sides have honest
         # nonzero scales (0 an eigenvalue but A not nilpotent)
-        from speccomp import mat_pow, rank_numeric
+        from speccomp.linalg import mat_pow, rank_numeric
 
         spec = JordanSpec([(0.0, [2, 1]), (-2.0, [2])], seed=3)
         a, _, sp = build_case(spec)

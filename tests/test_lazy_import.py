@@ -84,7 +84,7 @@ def test_first_solve_on_a_singular_matrix_reports_its_pivot():
 import numpy as np
 before = "scipy" in sys.modules
 try:
-    speccomp.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+    speccomp.linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
     raised, pivot = None, None
 except speccomp.SingularMatrixError as exc:
     raised, pivot = type(exc).__name__, exc.pivot

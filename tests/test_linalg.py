@@ -1,4 +1,4 @@
-"""Matrix-core primitives: products, powers, rank, solve."""
+"""Matrix-core primitives: validation, powers, rank, solve, norm."""
 
 import warnings
 
@@ -15,12 +15,8 @@ from speccomp import (
     ToleranceConfig,
     as_matrix,
     frob,
-    identity,
-    mat_mul,
-    mat_pow,
-    rank_numeric,
-    solve,
 )
+from speccomp.linalg import identity, mat_pow, rank_numeric, solve
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -55,27 +51,6 @@ class TestValidation:
             ToleranceConfig(eig_cluster_radius=0.0)
         with pytest.raises(PreconditionError):
             ToleranceConfig(verify_tol=-1e-8)
-
-
-class TestMatMul:
-    def test_identity_acts_trivially(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert_allclose(mat_mul(identity(4), a), a)
-
-    def test_nilpotent_squares_to_zero(self):
-        assert_allclose(mat_mul(NILPOTENT, NILPOTENT), np.zeros((2, 2)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(PreconditionError):
-            mat_mul(identity(2), identity(3))
-
-    def test_product_with_inverse_is_identity(self):
-        # inverse from the solve routine; residual must stay below verify_tol
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 4 * identity(4)
-        inv = solve(a, identity(4))
-        assert frob(mat_mul(a, inv) - identity(4)) <= 1e-8 * frob(identity(4))
 
 
 class TestMatPow:
@@ -139,8 +114,8 @@ class TestRank:
             r = int(rng.integers(1, n + 1))
             a = (rng.normal(size=(n, r)) @ rng.normal(size=(r, n))).astype(complex)
             perm = np.eye(n)[rng.permutation(n)].astype(complex)
-            assert rank_numeric(mat_mul(perm, a)) == rank_numeric(a)
-            assert rank_numeric(mat_mul(a, perm)) == rank_numeric(a)
+            assert rank_numeric(perm @ a) == rank_numeric(a)
+            assert rank_numeric(a @ perm) == rank_numeric(a)
 
 
 class TestSolve:
@@ -157,7 +132,14 @@ class TestSolve:
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         x = solve(a, a)
         assert frob(x - identity(5)) <= 1e-8
-        assert frob(mat_mul(a, x) - a) <= 1e-8 * frob(a)
+        assert frob(a @ x - a) <= 1e-8 * frob(a)
+
+    def test_product_with_inverse_is_identity(self):
+        # inverse from the solve routine; residual must stay below verify_tol
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 4 * identity(4)
+        inv = solve(a, identity(4))
+        assert frob(a @ inv - identity(4)) <= 1e-8 * frob(identity(4))
 
     def test_singular_matrix_reports_pivot(self):
         singular = np.array([[1, 2], [2, 4]], dtype=complex)
@@ -170,7 +152,7 @@ class TestSolve:
 @settings(max_examples=40, deadline=None)
 @given(square_int_matrices())
 def test_power_addition_law(a):
-    left = mat_mul(mat_pow(a, 2), mat_pow(a, 3))
+    left = mat_pow(a, 2) @ mat_pow(a, 3)
     right = mat_pow(a, 5)
     scale = max(1.0, frob(a) ** 5)
     assert frob(left - right) <= 1e-8 * scale
@@ -180,19 +162,9 @@ def test_power_addition_law(a):
 @given(square_int_matrices(), st.integers(0, 8))
 def test_split_power_matches_direct(a, e):
     direct = mat_pow(a, e)
-    rebuilt = mat_mul(mat_pow(a, e // 2), mat_pow(a, e - e // 2))
+    rebuilt = mat_pow(a, e // 2) @ mat_pow(a, e - e // 2)
     scale = max(1.0, frob(a) ** max(e, 1))
     assert frob(direct - rebuilt) <= 1e-8 * scale
-
-
-def test_associativity_within_tolerance():
-    rng = np.random.default_rng(29)
-    for _ in range(25):
-        a, b, c = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(3))
-        left = mat_mul(mat_mul(a, b), c)
-        right = mat_mul(a, mat_mul(b, c))
-        scale = max(1.0, frob(a) * frob(b) * frob(c))
-        assert frob(left - right) <= 1e-8 * scale
 
 
 class TestFrob:

@@ -12,9 +12,9 @@ from speccomp import (
     analyze,
     build_case,
     components_by_nullspace,
-    integer_similarity,
-    solve,
 )
+from speccomp.linalg import solve
+from speccomp.oracle import integer_similarity
 
 from corpus import POOL, conditioned_seed, rel_frob
 

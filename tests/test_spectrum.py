@@ -15,13 +15,10 @@ from speccomp import (
     ToleranceConfig,
     analyze,
     build_case,
-    cluster_spectrum,
-    eigen_index,
-    eigenvalues_raw,
-    rank_numeric,
-    replace_eigenvalue,
     spectrum_from_data,
 )
+from speccomp.linalg import rank_numeric
+from speccomp.spectrum import cluster_spectrum, eigen_index, eigenvalues_raw, replace_eigenvalue
 
 from corpus import corpus, random_spec, random_stochastic
 
@@ -74,6 +71,13 @@ class TestClustering:
         assert values[1] == 0.0
         assert_allclose(values, [3.0, 0.0])
         assert list(mults) == [1, 1]
+
+    def test_scattered_zero_clusters_merge(self):
+        # 5.8e-9 and -5.8e-9 are too far apart to share a cluster at radius
+        # 1e-8, but both centroids snap to 0: one eigenvalue 0 of multiplicity 3
+        values, mults = cluster_spectrum([1.0, 5.8e-9, -5.8e-9, 3.3e-17])
+        assert list(values) == [1.0, 0.0]
+        assert list(mults) == [1, 3]
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
@@ -236,6 +240,24 @@ class TestIndexSearchScope:
             repeated += len(calls)
             simple += sp.multiplicities.count(1)
         assert repeated and simple
+
+    def test_merged_zero_cluster_is_searched(self, monkeypatch):
+        real = speccomp.spectrum.eigen_index
+        calls = []
+
+        def counted(a, lam, cfg=None):
+            calls.append(complex(lam))
+            return real(a, lam, cfg)
+
+        monkeypatch.setattr(speccomp.spectrum, "eigen_index", counted)
+        monkeypatch.setattr(
+            speccomp.spectrum, "eigenvalues_raw", lambda a: np.array([1.0, 5.8e-9, -5.8e-9, 3.3e-17])
+        )
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 0] = a[1, 2] = 1.0
+        sp = analyze(a)
+        assert calls == [0j]
+        assert (sp.eigenvalues, sp.multiplicities, sp.indices) == ((1, 0), (1, 3), (1, 2))
 
     def test_indices_match_a_full_search(self):
         for a, cfg in _search_cases():
