@@ -188,16 +188,16 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
 
     Product of ``(I - (shifted / (lam_i - lam))^inner)^(u_i)`` over the
     eigenvalues ``lam_i != lam``, guarded, in ascending position order; I when
-    there are none. A quotient that overflows is a conditioning failure.
+    there are none. An overflowing quotient or power is a conditioning failure.
     """
     z = None
-    for lam_i, outer in zip(sp.eigenvalues, sp.exponents):
-        if lam_i == lam:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam_i, outer in zip(sp.eigenvalues, sp.exponents):
+            if lam_i == lam:
+                continue
             quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
-        factor = _poly_factor(quotient, inner, outer, cfg)
-        z = _guard(factor if z is None else z @ factor, cfg, "running product")
+            factor = _poly_factor(quotient, inner, outer, cfg)
+            z = _guard(factor if z is None else z @ factor, cfg, "running product")
     return identity(shifted.shape[0]) if z is None else z
 
 
@@ -231,7 +231,8 @@ def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig)
     """``[Z_k0, ..., Z_k,top]``: one product prefix times ``(1/j!) (A - lam_k I)^j``.
 
     The prefix is shared across j and the power is a running product, which
-    keeps all components of one eigenvalue mutually consistent.
+    keeps all components of one eigenvalue mutually consistent. A power or
+    component that overflows is a conditioning failure.
     """
     _order_check(sp, k, top)
     lam = sp.eigenvalues[k - 1]
@@ -240,11 +241,12 @@ def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig)
     out = [prefix]
     tail = shifted
     factorial = 1.0
-    for j in range(1, top + 1):
-        if j > 1:
-            tail = tail @ shifted
-            factorial *= j
-        out.append(prefix @ tail / factorial)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, top + 1):
+            if j > 1:
+                tail = _finite(tail @ shifted, f"power {j} of the shifted matrix")
+                factorial *= j
+            out.append(_finite(prefix @ tail / factorial, f"order-{j} component"))
     return out
 
 

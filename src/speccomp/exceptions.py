@@ -35,7 +35,7 @@ class ConditioningError(SpectralError, ArithmeticError):
 class SingularMatrixError(ConditioningError):
     """A linear solve hit a numerically singular matrix.
 
-    ``pivot`` carries the magnitude of the offending pivot.
+    ``pivot`` carries the matrix's smallest singular value.
     """
 
     def __init__(self, message, pivot=None):

@@ -3,12 +3,12 @@
 Higher-level code works on plain ``numpy.ndarray`` values of dtype
 ``complex128``. This module centralizes input validation (squareness,
 finiteness), the tolerance policy, and the factorization-backed primitives
-(numerical rank, linear solve) everything else consumes.
+(numerical rank, linear solve) everything else consumes. Both primitives
+judge singularity by the smallest singular value against the largest.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,9 @@ class ToleranceConfig:
     ``eig_cluster_radius`` is relative: clustering scales it by
     ``max(1, largest |eigenvalue|)`` before use, so the default behaves the
     same for small and large matrices. ``rank_rel_threshold`` is relative to
-    the largest singular value (or pivot). ``verify_tol`` bounds the
-    residuals accepted by self-checks and by the CLI's verification step.
+    the largest singular value; a solve needs the smallest singular value
+    above it. ``verify_tol`` bounds the residuals accepted by self-checks
+    and by the CLI's verification step.
     """
 
     eig_cluster_radius: float = 1e-8
@@ -88,8 +89,12 @@ def _finite(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def mat_pow(a, e) -> np.ndarray:
-    """``a`` raised to a nonnegative integer power, by repeated squaring."""
-    return _finite(_mat_pow(as_matrix(a), e), "matrix power")
+    """``a`` raised to a nonnegative integer power, by repeated squaring.
+
+    A power that overflows is a conditioning failure.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_mat_pow(as_matrix(a), e), "matrix power")
 
 
 def _mat_pow(m: np.ndarray, e) -> np.ndarray:
@@ -133,15 +138,11 @@ def rank_numeric(a, cfg: ToleranceConfig | None = None) -> int:
 def solve(a, b, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """Solve ``a @ x = b`` by LU with partial pivoting plus one refinement step.
 
-    Raises :class:`SingularMatrixError`, carrying the offending pivot
-    magnitude, when the smallest pivot falls below ``rank_rel_threshold``
-    relative to the largest.
-
-    ``scipy.linalg`` is loaded on the first call, not at import: only the
-    Drazin inverse and the oracle solve, so nothing else pays for it.
+    Raises :class:`SingularMatrixError`, carrying the smallest singular
+    value, unless it is above ``rank_rel_threshold`` times the largest: the
+    rule of :func:`rank_numeric`, so ``a`` is solved exactly when it has
+    full numerical rank.
     """
-    import scipy.linalg
-
     a = as_matrix(a)
     b = as_matrix(b)
     cfg = cfg or DEFAULT_TOLERANCES
@@ -149,19 +150,13 @@ def solve(a, b, cfg: ToleranceConfig | None = None) -> np.ndarray:
         raise PreconditionError(
             f"dimension mismatch: {a.shape[0]}x{a.shape[0]} system, {b.shape[0]}x{b.shape[0]} right-hand side"
         )
-    with warnings.catch_warnings():
-        # the pivot check below re-reports singularity as a typed error
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    largest = float(pivots.max())
-    smallest = float(pivots.min())
-    if largest == 0.0 or smallest <= cfg.rank_rel_threshold * largest:
+    sv = np.linalg.svd(a, compute_uv=False)
+    if not sv[-1] > cfg.rank_rel_threshold * sv[0]:
         raise SingularMatrixError(
-            f"matrix is numerically singular: pivot magnitude {smallest:.3e} "
-            f"(largest pivot {largest:.3e})",
-            pivot=smallest,
+            f"matrix is numerically singular: smallest singular value {sv[-1]:.3e} "
+            f"(largest {sv[0]:.3e})",
+            pivot=float(sv[-1]),
         )
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    x = x + scipy.linalg.lu_solve((lu, piv), b - a @ x, check_finite=False)
+    x = np.linalg.solve(a, b)
+    x = x + np.linalg.solve(a, b - a @ x)
     return _finite(x, "linear solve")

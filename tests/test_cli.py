@@ -242,6 +242,27 @@ class TestExitCodes:
         assert report["spectrum"]["indices"] == [2]
         assert all(r <= report["tolerances"]["verify_tol"] for r in report["residuals"].values())
 
+    def test_overflowing_powers_exit_3_with_one_error_line(self, tmp_path, capsys):
+        # 1e200 * (I + N), N the 3x3 nilpotent shift: Z_1_2 holds 5e399
+        jordan = write_json(
+            tmp_path / "jordan.json", document_payload(1e200 * (np.eye(3) + np.eye(3, k=1)))
+        )
+        # the residuals' A^2 overflows
+        shift = write_json(
+            tmp_path / "shift.json", document_payload(1e200 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+        )
+        # (A / 1e-200)^2 overflows inside the projector's product factor
+        tiny = np.zeros((4, 4))
+        tiny[0, 1], tiny[2, 2], tiny[3, 3] = 1.0, 1e-200, 1.0
+        tiny = write_json(tmp_path / "tiny.json", document_payload(tiny))
+        for argv in (["components", "--input", jordan], ["projector", "--input", shift],
+                     ["components", "--input", shift], ["projector", "--input", tiny, "--tol-eig", "1e-320"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run(capsys, argv)
+            assert code == 3, (argv, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
     def test_huge_finite_entries_exit_0_with_empty_stderr(self, tmp_path, capsys):
         huge = write_json(
             tmp_path / "huge.json", {"n": 2, "entries": [[1e200, 0], [1e200, 0], [0, 0], [1e200, 0]]}

@@ -1,7 +1,7 @@
-"""scipy is loaded at the first linear solve, not at import.
+"""numpy is the only dependency: no import, subcommand or solve loads scipy.
 
-Each check runs in a fresh interpreter, because any test that solved before
-it would already have scipy in ``sys.modules``.
+Each check runs in a fresh interpreter, so ``sys.modules`` holds only what
+speccomp and the check itself loaded.
 """
 
 import json
@@ -51,47 +51,34 @@ def chain_document(tmp_path) -> str:
     return str(path)
 
 
-def test_import_and_factorization_free_subcommands_leave_scipy_unloaded(tmp_path):
+def test_import_and_every_subcommand_leave_scipy_unloaded(tmp_path):
     out = fresh(
         """
 doc = sys.argv[1]
 after_import = "scipy" in sys.modules
-codes = {c: quiet([c, "--input", doc]) for c in ("spectrum", "projector", "components", "cesaro")}
+codes = {c: quiet([c, "--input", doc]) for c in ("spectrum", "projector", "components", "drazin", "cesaro")}
 codes["verify"] = quiet(["verify", "--input", doc, "--against", doc])
 print(json.dumps({"after_import": after_import, "codes": codes, "after_cli": "scipy" in sys.modules}))
 """,
         chain_document(tmp_path),
     )
     assert out["after_import"] is False
-    assert out["codes"] == {c: 0 for c in ("spectrum", "projector", "components", "cesaro", "verify")}
+    assert out["codes"] == {c: 0 for c in ("spectrum", "projector", "components", "drazin", "cesaro", "verify")}
     assert out["after_cli"] is False
-
-
-def test_drazin_loads_scipy_and_exits_0(tmp_path):
-    out = fresh(
-        """
-code = quiet(["drazin", "--input", sys.argv[1]])
-print(json.dumps({"code": code, "loaded": "scipy" in sys.modules}))
-""",
-        chain_document(tmp_path),
-    )
-    assert out == {"code": 0, "loaded": True}
 
 
 def test_first_solve_on_a_singular_matrix_reports_its_pivot():
     out = fresh(
         """
 import numpy as np
-before = "scipy" in sys.modules
 try:
     speccomp.linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
     raised, pivot = None, None
 except speccomp.SingularMatrixError as exc:
     raised, pivot = type(exc).__name__, exc.pivot
-print(json.dumps({"before": before, "raised": raised, "pivot": pivot, "after": "scipy" in sys.modules}))
+print(json.dumps({"raised": raised, "pivot": pivot, "loaded": "scipy" in sys.modules}))
 """
     )
-    assert out["before"] is False
     assert out["raised"] == "SingularMatrixError"
     assert isinstance(out["pivot"], float) and 0.0 <= out["pivot"] < 1e-10
-    assert out["after"] is True
+    assert out["loaded"] is False

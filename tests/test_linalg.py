@@ -148,6 +148,16 @@ class TestSolve:
         assert excinfo.value.pivot is not None
         assert excinfo.value.pivot < 1e-10
 
+    def test_singularity_follows_the_rank_rule(self):
+        # every LU pivot of this one is 1, yet its smallest singular value
+        # is about 1e-13 of the largest
+        unit_pivots = identity(40) - np.triu(np.ones((40, 40)), 1)
+        for a in (unit_pivots, np.array([[1, 2], [2, 4]], dtype=complex)):
+            assert rank_numeric(a) < a.shape[0]
+            with pytest.raises(SingularMatrixError) as excinfo:
+                solve(a, identity(a.shape[0]))
+            assert excinfo.value.pivot == np.linalg.svd(a, compute_uv=False)[-1]
+
 
 @settings(max_examples=40, deadline=None)
 @given(square_int_matrices())
