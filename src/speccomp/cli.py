@@ -22,7 +22,7 @@ from .applications import cesaro_limit, cesaro_residuals, drazin_inverse, drazin
 from .components import _worst, all_components, eigenprojection_residuals, eigenprojection_zero
 from .documents import csv_render, json_text, load_document, matrix_block
 from .exceptions import ConditioningError, InputFormatError, PreconditionError
-from .linalg import ToleranceConfig, as_matrix
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
 from .spectrum import Spectrum, analyze, spectrum_from_data
 
 __all__ = ["build_parser", "main"]
@@ -31,12 +31,12 @@ __all__ = ["build_parser", "main"]
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="matrix document (JSON, or CSV by .csv suffix)")
-    common.add_argument("--tol-eig", type=float, default=1e-8, metavar="R",
-                        help="relative eigenvalue clustering radius (default 1e-8)")
-    common.add_argument("--tol-rank", type=float, default=1e-10, metavar="R",
-                        help="relative rank threshold (default 1e-10)")
-    common.add_argument("--verify-tol", type=float, default=1e-8, metavar="R",
-                        help="residual tolerance for verification (default 1e-8)")
+    common.add_argument("--tol-eig", type=float, default=DEFAULT_TOLERANCES.eig_cluster_radius, metavar="R",
+                        help="relative eigenvalue clustering radius (default %(default)s)")
+    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOLERANCES.rank_rel_threshold, metavar="R",
+                        help="relative rank threshold (default %(default)s)")
+    common.add_argument("--verify-tol", type=float, default=DEFAULT_TOLERANCES.verify_tol, metavar="R",
+                        help="residual tolerance for verification (default %(default)s)")
     common.add_argument("--exponents", choices=("minimal", "worst-case"), default="minimal",
                         help="exponent policy for the product formulas")
     common.add_argument("--use-given-spectrum", action="store_true",

@@ -28,11 +28,6 @@ __all__ = [
     "eigenprojection_residuals",
 ]
 
-# j! is evaluated in floating point; orders past this are rejected up front
-# rather than allowed to degrade accuracy.
-MAX_COMPONENT_ORDER = 20
-
-
 @dataclass(frozen=True)
 class ComponentSet:
     """The family of component matrices of one source matrix.
@@ -78,11 +73,12 @@ class ComponentSet:
         n = sp.source_dim
         eye = identity(n)
         proj = {k: self.parts[(k, 0)] for k in range(1, sp.s + 1)}
+        norms = {k: frob(z) for k, z in proj.items()}
 
         total = sum(proj.values())
-        resolution = frob(total - eye) / max(1.0, max(frob(z) for z in proj.values()))
+        resolution = frob(total - eye) / max(1.0, max(norms.values()))
         orth = _worst(
-            frob(zk @ zl) / max(1.0, frob(zk) * frob(zl))
+            frob(zk @ zl) / max(1.0, norms[k] * norms[l])
             for k, zk in proj.items()
             for l, zl in proj.items()
             if k != l
@@ -165,16 +161,6 @@ def _guard(m: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
     return m
 
 
-def _poly_factor(m: np.ndarray, inner: int, outer: int, cfg: ToleranceConfig) -> np.ndarray:
-    """(I - m^inner)^outer, by powering m, subtracting from I, powering again.
-
-    Never expanded as a polynomial: staged powering keeps the count of
-    large-norm intermediates minimal.
-    """
-    powered = _guard(_mat_pow(m, inner), cfg, "inner matrix power")
-    return _guard(_mat_pow(identity(m.shape[0]) - powered, outer), cfg, "product factor")
-
-
 def _check_pair(a: np.ndarray, sp: Spectrum) -> None:
     if sp.source_dim != a.shape[0]:
         raise PreconditionError(
@@ -187,18 +173,21 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
     """The projector-at-zero product of ``shifted = A - lam I``.
 
     Product of ``(I - (shifted / (lam_i - lam))^inner)^(u_i)`` over the
-    eigenvalues ``lam_i != lam``, guarded, in ascending position order; I when
-    there are none. An overflowing quotient or power is a conditioning failure.
+    eigenvalues ``lam_i != lam``, in ascending position order; I when there
+    are none. Each factor is powered in stages, never expanded as a
+    polynomial. Each factor and each running product is guarded once; an
+    overflowing quotient is a conditioning failure.
     """
+    eye = identity(shifted.shape[0])
     z = None
     with np.errstate(over="ignore", invalid="ignore"):
         for lam_i, outer in zip(sp.eigenvalues, sp.exponents):
             if lam_i == lam:
                 continue
             quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
-            factor = _poly_factor(quotient, inner, outer, cfg)
-            z = _guard(factor if z is None else z @ factor, cfg, "running product")
-    return identity(shifted.shape[0]) if z is None else z
+            factor = _guard(_mat_pow(eye - _mat_pow(quotient, inner), outer), cfg, "product factor")
+            z = factor if z is None else _guard(z @ factor, cfg, "running product")
+    return eye if z is None else z
 
 
 def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:
@@ -220,11 +209,6 @@ def _order_check(sp: Spectrum, k: int, j: int) -> None:
     nu = sp.indices[k - 1]
     if not 0 <= j <= nu - 1:
         raise PreconditionError(f"order j={j} out of range 0..{nu - 1} at position {k}")
-    if j > MAX_COMPONENT_ORDER:
-        raise PreconditionError(
-            f"order j={j} exceeds the supported cap {MAX_COMPONENT_ORDER} "
-            "(floating-point factorials degrade beyond it)"
-        )
 
 
 def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig) -> list:

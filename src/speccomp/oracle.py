@@ -196,11 +196,7 @@ def components_by_nullspace(a, sp: Spectrum, cfg: ToleranceConfig | None = None)
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
-    if sp.source_dim != a.shape[0]:
-        raise PreconditionError(
-            f"spectrum describes a {sp.source_dim}x{sp.source_dim} matrix, "
-            f"got {a.shape[0]}x{a.shape[0]}"
-        )
+    _check_pair(a, sp)
     n = a.shape[0]
     eye = identity(n)
 

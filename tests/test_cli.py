@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 
 import speccomp.cli
 from speccomp import JordanSpec, build_case, case_document
-from speccomp.cli import main
+from speccomp.cli import build_parser, main
 from speccomp.documents import document_payload, load_document, matrix_from_block
+from speccomp.linalg import DEFAULT_TOLERANCES
 
 DIAG02 = {"n": 2, "entries": [[0, 0], [0, 0], [0, 0], [2, 0]]}
 JORDAN225 = {
@@ -27,6 +28,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_tolerance_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["projector", "--input", "a.json"])
+        assert speccomp.cli._config(args) == DEFAULT_TOLERANCES
 
 
 class TestProjectorCommand:

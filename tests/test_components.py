@@ -1,5 +1,7 @@
 """The product-formula engine: eigenprojections and components."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -200,6 +202,32 @@ class TestConditioningGuard:
         z = eigenprojection_zero(a, sp, cfg)
         assert np.all(np.isfinite(z))
 
+    def test_large_inner_power_with_exact_factor_is_kept(self):
+        # (A/lam)^2 has norm 2e21, past the guard, but the factor
+        # (I - (A/lam)^2)^2 it enters is exactly 0; only factors are guarded
+        from speccomp import eigenprojection_residuals
+
+        cfg = ToleranceConfig(eig_cluster_radius=1e-20)
+        a = np.array([[1e-10, 1e11], [0, 1e-10]], dtype=complex)
+        sp = spectrum_from_data([1e-10], [2], [2], cfg=cfg)
+        z = eigenprojection_zero(a, sp, cfg)
+        assert np.all(z == 0)
+        assert set(eigenprojection_residuals(a, sp, z).values()) == {0.0}
+
+
+class TestHighOrders:
+    @pytest.mark.parametrize("shift", [0.0, 2.0])
+    def test_jordan_block_of_index_24(self, shift):
+        # order j = 23 needs 23!, which float64 holds to within one ulp
+        n = 24
+        nilpotent = np.eye(n, k=1, dtype=complex)
+        a = shift * np.eye(n) + nilpotent
+        cs = all_components(a, spectrum_from_data([shift], [n], [n]))
+        assert max(cs.residuals().values()) <= 1e-15
+        for j in range(n):
+            expected = np.eye(n, k=j) / math.factorial(j)
+            assert_allclose(cs.part(1, j), expected, rtol=1e-15, atol=0)
+
 
 @pytest.fixture(scope="module")
 def cases():
@@ -237,6 +265,25 @@ class TestInvariants:
                 shifted = a - sp.eigenvalues[k - 1] * eye
                 z = eigenprojection_zero(shifted, sp.shifted(k))
                 assert rel_frob(cs.part(k, 0), z) <= 1e-8
+
+    def test_pair_residuals_match_their_definition(self, cases):
+        # the residuals norm each projector once; the values keep their bits
+        for a, sp, cs in cases:
+            proj = [cs.projector(k) for k in range(1, sp.s + 1)]
+            eye = np.eye(a.shape[0])
+            resolution = frob(sum(proj) - eye) / max(1.0, max(frob(z) for z in proj))
+            orth = max(
+                (
+                    frob(zk @ zl) / max(1.0, frob(zk) * frob(zl))
+                    for k, zk in enumerate(proj)
+                    for l, zl in enumerate(proj)
+                    if k != l
+                ),
+                default=0.0,
+            )
+            residuals = cs.residuals()
+            assert residuals["resolution_of_identity"] == resolution
+            assert residuals["orthogonality"] == orth
 
     def test_agreement_with_nullspace_oracle(self, cases):
         for a, sp, cs in cases:
