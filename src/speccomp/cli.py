@@ -145,6 +145,11 @@ def _run(args) -> int:
             return 4
         return 0
 
+    if args.command == "cesaro" and (args.use_given_spectrum or args.exponents != "minimal"):
+        raise PreconditionError(
+            "cesaro computes its own spectrum with minimal exponents; "
+            "--use-given-spectrum and --exponents worst-case do not apply to it"
+        )
     matrix, records = load_document(args.input)
     matrix = as_matrix(matrix)
     sp = _spectrum_for(matrix, records, args, cfg)

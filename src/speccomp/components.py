@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _mat_pow, as_matrix, frob, identity, mat_pow
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _mat_pow, as_matrix, frob, identity
 from .spectrum import Spectrum
 
 __all__ = [
@@ -90,7 +90,7 @@ class ComponentSet:
             lam = sp.eigenvalues[k - 1]
             nu = sp.indices[k - 1]
             shifted = a - lam * eye
-            annihilation.append(_annihilation(mat_pow(shifted, nu), proj[k]))
+            annihilation.append(_annihilation(_killer(shifted, nu), proj[k]))
             for j in range(nu - 1):
                 zj, zj1 = self.parts[(k, j)], self.parts[(k, j + 1)]
                 ladder.append(
@@ -130,6 +130,20 @@ def _commutation(a: np.ndarray, z: np.ndarray) -> float:
 def _annihilation(killer: np.ndarray, z: np.ndarray) -> float:
     """Residual of killer @ Z = 0."""
     return _bilinear(killer, z, lambda x, y: x @ y)
+
+
+def _killer(shifted: np.ndarray, nu: int) -> np.ndarray:
+    """``shifted ** nu``, the left operand of the annihilation residual.
+
+    Past overflow, where that residual is scale-free, it is the same power
+    of ``shifted / frob(shifted)`` scaled to unit norm, as in :func:`_bilinear`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _mat_pow(shifted, nu)
+        if np.all(np.isfinite(power)):
+            return power
+        power = _mat_pow(shifted / frob(shifted), nu)
+    return power / (frob(power) or 1.0)
 
 
 # Entries of x @ y - y @ x are at most 2 frob(x) frob(y) in magnitude.
@@ -175,8 +189,8 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
     Product of ``(I - (shifted / (lam_i - lam))^inner)^(u_i)`` over the
     eigenvalues ``lam_i != lam``, in ascending position order; I when there
     are none. Each factor is powered in stages, never expanded as a
-    polynomial. Each factor and each running product is guarded once; an
-    overflowing quotient is a conditioning failure.
+    polynomial. Each factor and the finished product of two or more is
+    guarded once; an overflowing quotient is a conditioning failure.
     """
     eye = identity(shifted.shape[0])
     z = None
@@ -186,8 +200,8 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
                 continue
             quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
             factor = _guard(_mat_pow(eye - _mat_pow(quotient, inner), outer), cfg, "product factor")
-            z = factor if z is None else _guard(z @ factor, cfg, "running product")
-    return eye if z is None else z
+            z = factor if z is None else z @ factor
+    return eye if z is None else z if z is factor else _guard(z, cfg, "product of factors")
 
 
 def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:
@@ -215,8 +229,8 @@ def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig)
     """``[Z_k0, ..., Z_k,top]``: one product prefix times ``(1/j!) (A - lam_k I)^j``.
 
     The prefix is shared across j and the power is a running product, which
-    keeps all components of one eigenvalue mutually consistent. A power or
-    component that overflows is a conditioning failure.
+    keeps all components of one eigenvalue consistent. An overflowing
+    component (any built on an overflowed power) is a conditioning failure.
     """
     _order_check(sp, k, top)
     lam = sp.eigenvalues[k - 1]
@@ -228,7 +242,7 @@ def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, top + 1):
             if j > 1:
-                tail = _finite(tail @ shifted, f"power {j} of the shifted matrix")
+                tail = tail @ shifted
                 factorial *= j
             out.append(_finite(prefix @ tail / factorial, f"order-{j} component"))
     return out
@@ -271,5 +285,5 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     return {
         "idempotency": _idempotency(z),
         "commutation": _commutation(a, z),
-        "annihilation": _annihilation(mat_pow(a, sp.ind_a), z),
+        "annihilation": _annihilation(_killer(a, sp.ind_a), z),
     }

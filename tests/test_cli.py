@@ -254,21 +254,54 @@ class TestExitCodes:
         jordan = write_json(
             tmp_path / "jordan.json", document_payload(1e200 * (np.eye(3) + np.eye(3, k=1)))
         )
-        # the residuals' A^2 overflows
-        shift = write_json(
-            tmp_path / "shift.json", document_payload(1e200 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
-        )
         # (A / 1e-200)^2 overflows inside the projector's product factor
         tiny = np.zeros((4, 4))
         tiny[0, 1], tiny[2, 2], tiny[3, 3] = 1.0, 1e-200, 1.0
         tiny = write_json(tmp_path / "tiny.json", document_payload(tiny))
-        for argv in (["components", "--input", jordan], ["projector", "--input", shift],
-                     ["components", "--input", shift], ["projector", "--input", tiny, "--tol-eig", "1e-320"]):
+        for argv in (["components", "--input", jordan],
+                     ["projector", "--input", tiny, "--tol-eig", "1e-320"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, _, err = run(capsys, argv)
             assert code == 3, (argv, err)
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    def test_overflowing_annihilation_power_exits_0_with_empty_stderr(self, tmp_path, capsys):
+        # A^2 overflows in the annihilation residual, yet the projector
+        # diag(1, 1, 0) is exact and every residual is 0
+        shift = write_json(
+            tmp_path / "shift.json", document_payload(1e200 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]]))
+        )
+        for command in ("projector", "components"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, [command, "--input", shift])
+            assert (code, err) == (0, ""), command
+            assert set(json.loads(out)["residuals"].values()) == {0.0}, command
+
+    def test_overflowing_product_of_guarded_factors_is_3(self, tmp_path, capsys):
+        # factors I - A and I - A/2 have norms near 1e11, inside the guard
+        # 1e20; their product has norm 5e21
+        a = np.array([[0, 1e11, 0], [0, 1, 1e11], [0, 0, 2]])
+        assert max(np.linalg.norm(np.eye(3) - a / lam) for lam in (1, 2)) < 1e12
+        records = [{"value": complex(v), "multiplicity": 1, "index": 1} for v in (0, 1, 2)]
+        doc = write_json(tmp_path / "product.json", document_payload(a, records))
+        code, _, err = run(capsys, ["projector", "--input", doc, "--use-given-spectrum"])
+        assert code == 3, err
+        assert err.startswith("error: product of factors") and err.count("\n") == 1, err
+
+    def test_cesaro_refuses_spectrum_flags_with_2(self, tmp_path, capsys):
+        # cesaro computes its own spectrum; a given or worst-case one would
+        # be reported without being used
+        chain = np.array([[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0, 1]])
+        records = [{"value": complex(v), "multiplicity": m, "index": 1} for v, m in ((1, 1), (0.5, 2))]
+        doc = write_json(tmp_path / "chain.json", document_payload(chain, records))
+        for flags in (["--use-given-spectrum"], ["--exponents", "worst-case"]):
+            code, out, err = run(capsys, ["cesaro", "--input", doc, *flags])
+            assert (code, out) == (2, ""), flags
+            assert err.startswith("error: cesaro") and err.count("\n") == 1, (flags, err)
+        code, _, err = run(capsys, ["cesaro", "--input", doc, "--exponents", "minimal"])
+        assert (code, err) == (0, "")
 
     def test_huge_finite_entries_exit_0_with_empty_stderr(self, tmp_path, capsys):
         huge = write_json(

@@ -215,6 +215,69 @@ class TestConditioningGuard:
         assert set(eigenprojection_residuals(a, sp, z).values()) == {0.0}
 
 
+@pytest.fixture
+def guard_calls(monkeypatch):
+    """What each ``components._guard`` call names, in call order."""
+    import speccomp.components as components
+
+    calls = []
+    guard = components._guard
+
+    def counting(m, cfg, what):
+        calls.append(what)
+        return guard(m, cfg, what)
+
+    monkeypatch.setattr(components, "_guard", counting)
+    return calls
+
+
+class TestGuardRule:
+    """Each product factor and each finished product of two or more is guarded once."""
+
+    def test_all_components_guards_s_squared_matrices(self, guard_calls):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        sp = analyze(a)
+        s = sp.s
+        assert s == 16
+        all_components(a, sp)
+        assert guard_calls.count("product factor") == s * (s - 1)
+        assert guard_calls.count("product of factors") == s
+        assert len(guard_calls) == s * (s - 1) + s
+
+    def test_nonsingular_projection_at_zero_guards_s_plus_1(self, guard_calls):
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        eigenprojection_zero(a, analyze(a))
+        assert guard_calls == ["product factor"] * 4 + ["product of factors"]
+
+    def test_single_factor_is_not_guarded_again(self, guard_calls):
+        a = np.diag([0.0, 2.0])
+        eigenprojection_zero(a, analyze(a))
+        assert guard_calls == ["product factor"]
+
+
+class TestAnnihilationPastOverflow:
+    A = 1e200 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex)
+
+    def test_exact_projector_has_zero_residuals(self):
+        from speccomp import eigenprojection_residuals
+
+        sp = analyze(self.A)
+        z = eigenprojection_zero(self.A, sp)
+        assert np.array_equal(z, np.diag([1.0, 1.0, 0.0]))
+        assert set(eigenprojection_residuals(self.A, sp, z).values()) == {0.0}
+        assert set(all_components(self.A, sp).residuals().values()) == {0.0}
+
+    def test_wrong_projector_is_still_caught(self):
+        # A^2 Z != 0 for Z = I: the residual read on the unit-norm power
+        # of A / ||A|| is of order 1, not 0 or NaN
+        from speccomp import eigenprojection_residuals
+
+        sp = analyze(self.A)
+        residual = eigenprojection_residuals(self.A, sp, np.eye(3, dtype=complex))["annihilation"]
+        assert 0.1 < residual <= 1.0
+
+
 class TestHighOrders:
     @pytest.mark.parametrize("shift", [0.0, 2.0])
     def test_jordan_block_of_index_24(self, shift):
