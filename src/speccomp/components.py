@@ -90,7 +90,7 @@ class ComponentSet:
             lam = sp.eigenvalues[k - 1]
             nu = sp.indices[k - 1]
             shifted = a - lam * eye
-            annihilation.append(_annihilation(_killer(shifted, nu), proj[k]))
+            annihilation.append(_annihilation(shifted, nu, proj[k]))
             for j in range(nu - 1):
                 zj, zj1 = self.parts[(k, j)], self.parts[(k, j + 1)]
                 ladder.append(
@@ -127,23 +127,33 @@ def _commutation(a: np.ndarray, z: np.ndarray) -> float:
     return _bilinear(a, z, lambda x, y: x @ y - y @ x)
 
 
-def _annihilation(killer: np.ndarray, z: np.ndarray) -> float:
-    """Residual of killer @ Z = 0."""
-    return _bilinear(killer, z, lambda x, y: x @ y)
+def _annihilation(shifted: np.ndarray, nu: int, z: np.ndarray) -> float:
+    """Residual of ``shifted ** nu @ Z = 0``.
 
-
-def _killer(shifted: np.ndarray, nu: int) -> np.ndarray:
-    """``shifted ** nu``, the left operand of the annihilation residual.
-
-    Past overflow, where that residual is scale-free, it is the same power
-    of ``shifted / frob(shifted)`` scaled to unit norm, as in :func:`_bilinear`.
+    Past overflow of that power, the residual is the scale-free ratio
+    ``frob(P @ Z) / (frob(P) * frob(Z))`` that :func:`_bilinear` takes, with
+    the power ``P`` built one factor at a time and scaled to unit norm after
+    each, so a direction that later factors keep is not lost to the ones they
+    annihilate. Any underflow or overflow in building it is a conditioning
+    failure.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         power = _mat_pow(shifted, nu)
-        if np.all(np.isfinite(power)):
-            return power
-        power = _mat_pow(shifted / frob(shifted), nu)
-    return power / (frob(power) or 1.0)
+    if np.all(np.isfinite(power)):
+        return _bilinear(power, z, lambda x, y: x @ y)
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            power = shifted / frob(shifted)
+            for _ in range(nu - 1):
+                power = power @ shifted
+                power = power / (frob(power) or 1.0)
+    except FloatingPointError:
+        raise ConditioningError(
+            f"power {nu} of the shifted matrix leaves the floating-point range "
+            "even when scaled to unit norm"
+        ) from None
+    norm_z = frob(z)
+    return frob(power @ (z / norm_z)) if norm_z else 0.0
 
 
 # Entries of x @ y - y @ x are at most 2 frob(x) frob(y) in magnitude.
@@ -192,16 +202,14 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
     polynomial. Each factor and the finished product of two or more is
     guarded once; an overflowing quotient is a conditioning failure.
     """
-    eye = identity(shifted.shape[0])
-    z = None
+    others = [(lam_i, outer) for lam_i, outer in zip(sp.eigenvalues, sp.exponents) if lam_i != lam]
+    z = eye = identity(shifted.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam_i, outer in zip(sp.eigenvalues, sp.exponents):
-            if lam_i == lam:
-                continue
+        for count, (lam_i, outer) in enumerate(others):
             quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
             factor = _guard(_mat_pow(eye - _mat_pow(quotient, inner), outer), cfg, "product factor")
-            z = factor if z is None else z @ factor
-    return eye if z is None else z if z is factor else _guard(z, cfg, "product of factors")
+            z = factor if count == 0 else z @ factor
+    return _guard(z, cfg, "product of factors") if len(others) > 1 else z
 
 
 def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:
@@ -285,5 +293,5 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     return {
         "idempotency": _idempotency(z),
         "commutation": _commutation(a, z),
-        "annihilation": _annihilation(_killer(a, sp.ind_a), z),
+        "annihilation": _annihilation(a, sp.ind_a, z),
     }

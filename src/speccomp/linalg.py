@@ -72,13 +72,14 @@ def frob(a) -> float:
 
     The sum of squares overflows once entries pass about 1e154; only then is
     the norm taken again of ``a`` scaled by its largest entry magnitude.
+    Squares that underflow are negligible, whatever the caller's ``errstate``.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(a, "fro"))
-    if norm == np.inf:
-        scale = float(np.max(np.abs(a)))
-        if np.isfinite(scale):
-            return scale * float(np.linalg.norm(np.asarray(a) / scale, "fro"))
+        if norm == np.inf:
+            scale = float(np.max(np.abs(a)))
+            if np.isfinite(scale):
+                return scale * float(np.linalg.norm(np.asarray(a) / scale, "fro"))
     return norm
 
 

@@ -277,6 +277,45 @@ class TestAnnihilationPastOverflow:
         residual = eigenprojection_residuals(self.A, sp, np.eye(3, dtype=complex))["annihilation"]
         assert 0.1 < residual <= 1.0
 
+    # A nilpotent block of entries 1e300 beside the eigenvalue 1e150, ind A = 3:
+    # A^3 overflows on the way, and (A / ||A||)^3 taken at once would flush the
+    # 1e150 direction, the only one A^3 keeps, to zero.
+    B = np.zeros((4, 4), dtype=complex)
+    B[0, 1] = B[1, 2] = 1e300
+    B[3, 3] = 1e150
+
+    def test_direction_kept_past_an_annihilated_one_is_not_lost(self):
+        from speccomp import eigenprojection_residuals
+
+        sp = analyze(self.B)
+        assert sp.ind_a == 3
+        for scale in (1.0, 0.5):
+            # the ratio is taken on both operands, so it does not depend on ||Z||
+            residual = eigenprojection_residuals(self.B, sp, scale * np.eye(4, dtype=complex))["annihilation"]
+            assert residual == 0.5
+        z = eigenprojection_zero(self.B, sp)
+        assert np.array_equal(z, np.diag([1.0, 1.0, 1.0, 0.0]))
+        assert eigenprojection_residuals(self.B, sp, z)["annihilation"] == 0.0
+
+    def test_exactly_annihilating_power_reads_zero(self):
+        from speccomp import eigenprojection_residuals
+
+        a = self.B[:3, :3]
+        sp = analyze(a)
+        assert eigenprojection_residuals(a, sp, np.eye(3, dtype=complex))["annihilation"] == 0.0
+
+    def test_power_that_loses_range_is_a_conditioning_failure(self):
+        # ind A = 4: the 1e10 direction falls below the smallest double,
+        # relative to the nilpotent part, before A^4 annihilates that part
+        from speccomp import eigenprojection_residuals
+
+        a = np.zeros((5, 5), dtype=complex)
+        a[0, 1] = a[1, 2] = a[2, 3] = 1e300
+        a[4, 4] = 1e10
+        sp = spectrum_from_data([0.0, 1e10], [4, 1], [4, 1])
+        with pytest.raises(ConditioningError, match="power 4 of the shifted matrix"):
+            eigenprojection_residuals(a, sp, np.eye(5, dtype=complex))
+
 
 class TestHighOrders:
     @pytest.mark.parametrize("shift", [0.0, 2.0])
