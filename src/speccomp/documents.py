@@ -18,6 +18,7 @@ emitted matrix re-parses to bit-identical values.
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,35 @@ __all__ = [
 ]
 
 
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 100
+
+
+def _shown(value, limit: int = 100) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` UTF-8 bytes.
+
+    Messages echo input, so their size must not grow with it; ``reprlib``
+    also keeps deep or long input from costing recursion or time.
+    """
+    try:
+        text = _ECHO.repr(value)
+    except ValueError:  # an integer past Python's limit on decimal digits
+        text = f"<integer of {value.bit_length()} bits>"
+    data = text.encode()
+    return text if len(data) <= limit else data[: limit - 3].decode(errors="ignore") + "..."
+
+
 def _pair(value, where: str):
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
-        raise InputFormatError(f"{where}: expected a [re, im] pair of numbers, got {value!r}")
-    z = complex(float(value[0]), float(value[1]))
+        raise InputFormatError(f"{where}: expected a [re, im] pair of numbers, got {_shown(value)}")
+    try:
+        z = complex(float(value[0]), float(value[1]))
+    except OverflowError:  # an integer past the float range
+        z = complex(np.inf)
     if not np.isfinite(z.real) or not np.isfinite(z.imag):
         raise InputFormatError(f"{where}: entries must be finite")
     return z
@@ -54,15 +76,19 @@ def _parse_json(text: str):
         raise InputFormatError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputFormatError("malformed JSON: nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer literal past Python's limit on decimal digits
+        raise InputFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError("document root must be a JSON object")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputFormatError(f"'n' must be a positive integer, got {n!r}")
+        raise InputFormatError(f"'n' must be a positive integer, got {_shown(n)}")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != n * n:
         count = len(entries) if isinstance(entries, list) else "missing"
-        raise InputFormatError(f"'entries' must list n*n = {n * n} pairs, got {count}")
+        raise InputFormatError(f"'entries' must list n*n = {_shown(n * n)} pairs, got {count}")
     flat = [_pair(e, f"entries[{i}]") for i, e in enumerate(entries)]
     matrix = np.array(flat, dtype=complex).reshape(n, n)
 
@@ -81,7 +107,7 @@ def _parse_json(text: str):
             index = rec.get("index")
             for name, v in (("multiplicity", mult), ("index", index)):
                 if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise InputFormatError(f"{where}.{name} must be a positive integer, got {v!r}")
+                    raise InputFormatError(f"{where}.{name} must be a positive integer, got {_shown(v)}")
             records.append({"value": value, "multiplicity": mult, "index": index})
         if sum(r["multiplicity"] for r in records) != n:
             raise InputFormatError("spectrum multiplicities must sum to n")
@@ -111,7 +137,7 @@ def _parse_csv(text: str):
                 row.append(float(cell))
             except ValueError as exc:
                 raise InputFormatError(
-                    f"line {lineno}, column {col + 1}: {cell!r} is not a number"
+                    f"line {lineno}, column {col + 1}: {_shown(cell)} is not a number"
                 ) from exc
         rows.append(row)
     if not rows:
@@ -136,7 +162,10 @@ def load_document(path):
     malformed content; I/O errors propagate as ``OSError``.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if path.suffix.lower() == ".csv":
         return _parse_csv(text)
     return _parse_json(text)

@@ -41,7 +41,8 @@ class JordanSpec:
     """Constructive test case: per-eigenvalue block sizes plus a seed.
 
     ``blocks`` lists ``(eigenvalue, sizes)`` entries with pairwise distinct
-    eigenvalues; ``seed`` drives the random integer similarity transform.
+    eigenvalues and positive sizes, checked on construction; ``seed`` drives
+    the random integer similarity transform.
     """
 
     blocks: tuple
@@ -52,12 +53,6 @@ class JordanSpec:
             (complex(value), tuple(int(s) for s in sizes)) for value, sizes in self.blocks
         )
         object.__setattr__(self, "blocks", normalized)
-
-    @property
-    def dim(self) -> int:
-        return sum(sum(sizes) for _, sizes in self.blocks)
-
-    def validate(self) -> "JordanSpec":
         if not self.blocks or self.dim < 1:
             raise PreconditionError("a case needs at least one block of size >= 1")
         values = [value for value, _ in self.blocks]
@@ -66,7 +61,10 @@ class JordanSpec:
         for value, sizes in self.blocks:
             if not sizes or any(s < 1 for s in sizes):
                 raise PreconditionError(f"block sizes for eigenvalue {value} must be positive")
-        return self
+
+    @property
+    def dim(self) -> int:
+        return sum(sum(sizes) for _, sizes in self.blocks)
 
 
 def integer_similarity(n: int, seed: int, max_tries: int = 100) -> np.ndarray:
@@ -98,7 +96,6 @@ def build_case(spec: JordanSpec, cfg: ToleranceConfig | None = None):
     (an explicit superdiagonal pattern). The spectrum is read directly off
     the construction: multiplicity = total size, index = largest block.
     """
-    spec = spec.validate()
     cfg = cfg or DEFAULT_TOLERANCES
     n = spec.dim
 

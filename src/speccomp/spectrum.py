@@ -50,6 +50,10 @@ class Spectrum:
     - ``indices``: size of the largest Jordan block per eigenvalue
     - ``exponents``: per-eigenvalue powers, each at least the index
     - ``u``: inner power used by the projector-at-zero product, >= ind_a
+
+    Construction converts the fields to tuples of ``complex`` and ``int``
+    and checks them, so every Spectrum (copies included) meets the product
+    formulas' hypotheses; :class:`PreconditionError` otherwise.
     """
 
     eigenvalues: tuple
@@ -57,12 +61,38 @@ class Spectrum:
     indices: tuple
     exponents: tuple
     u: int
-    source_dim: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", tuple(map(complex, self.eigenvalues)))
+        for name in ("multiplicities", "indices", "exponents"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        object.__setattr__(self, "u", int(self.u))
+        s = self.s
+        if s == 0:
+            raise PreconditionError("spectrum must contain at least one eigenvalue")
+        if any(len(field) != s for field in (self.multiplicities, self.indices, self.exponents)):
+            raise PreconditionError("spectrum fields must all have one entry per eigenvalue")
+        if len(set(self.eigenvalues)) != s:
+            raise PreconditionError("spectrum eigenvalues must be pairwise distinct")
+        for i, (m, nu, ue) in enumerate(zip(self.multiplicities, self.indices, self.exponents)):
+            if not 1 <= nu <= m:
+                raise PreconditionError(f"index {nu} out of range 1..{m} at position {i + 1}")
+            if ue < nu:
+                raise PreconditionError(f"exponent {ue} smaller than index {nu} at position {i + 1}")
+        if self.u < max(self.ind_a, 1):
+            raise PreconditionError(
+                f"inner power u = {self.u} must be at least max(ind_a, 1) = {max(self.ind_a, 1)}"
+            )
 
     @property
     def s(self) -> int:
         """Number of distinct eigenvalues."""
         return len(self.eigenvalues)
+
+    @property
+    def source_dim(self) -> int:
+        """Dimension of the matrix described: the sum of the multiplicities."""
+        return sum(self.multiplicities)
 
     @property
     def zero_position(self) -> int | None:
@@ -82,54 +112,13 @@ class Spectrum:
         """1-based position of the eigenvalue nearest ``value``.
 
         Raises :class:`PreconditionError` when the nearest one is farther
-        than ``tol`` away.
+        than ``tol`` away, or ``value`` is NaN.
         """
         dist = np.abs(np.asarray(self.eigenvalues, dtype=complex) - complex(value))
         pos = int(dist.argmin())
-        if dist[pos] > tol:
+        if not dist[pos] <= tol:
             raise PreconditionError(f"{value!r} is not an eigenvalue of this spectrum")
         return pos + 1
-
-    def validate(self, cfg: ToleranceConfig | None = None) -> "Spectrum":
-        """Check the structural invariants; returns self for chaining."""
-        cfg = cfg or DEFAULT_TOLERANCES
-        s = self.s
-        if s == 0:
-            raise PreconditionError("spectrum must contain at least one eigenvalue")
-        for field in (self.multiplicities, self.indices, self.exponents):
-            if len(field) != s:
-                raise PreconditionError("spectrum fields must all have one entry per eigenvalue")
-        if sum(self.multiplicities) != self.source_dim:
-            raise PreconditionError(
-                f"multiplicities sum to {sum(self.multiplicities)}, expected {self.source_dim}"
-            )
-        for i, (m, nu) in enumerate(zip(self.multiplicities, self.indices)):
-            if not 1 <= nu <= m:
-                raise PreconditionError(
-                    f"index {nu} out of range 1..{m} at position {i + 1}"
-                )
-        values = np.asarray(self.eigenvalues, dtype=complex)
-        _require_separated(
-            values,
-            effective_cluster_radius(values, cfg),
-            "eigenvalues {} and {} are closer than twice the clustering radius; lower the "
-            "radius or supply the spectrum explicitly",
-        )
-        return self._check_powers()
-
-    def _check_powers(self) -> "Spectrum":
-        """Raise :class:`PreconditionError` unless every exponent is at least
-        its index and ``u >= max(ind_a, 1)``; returns self."""
-        for i, (ue, nu) in enumerate(zip(self.exponents, self.indices)):
-            if ue < nu:
-                raise PreconditionError(
-                    f"exponent {ue} smaller than index {nu} at position {i + 1}"
-                )
-        if self.u < max(self.ind_a, 1):
-            raise PreconditionError(
-                f"inner power u = {self.u} must be at least max(ind_a, 1) = {max(self.ind_a, 1)}"
-            )
-        return self
 
     def _check_position(self, k: int) -> None:
         """Raise :class:`PreconditionError` unless ``1 <= k <= s``."""
@@ -157,7 +146,7 @@ class Spectrum:
             raise PreconditionError(f"expected {self.s} explicit exponents, got {len(ulist)}")
         pos = self.zero_position
         u = 1 if pos is None else ulist[pos]
-        return replace(self, exponents=ulist, u=u)._check_powers()
+        return replace(self, exponents=ulist, u=u)
 
     def shifted(self, k: int) -> "Spectrum":
         """Spectrum of ``A - lambda_k I`` given this spectrum of ``A``.
@@ -179,10 +168,10 @@ class Spectrum:
         order = canonical_order(values)
         return replace(
             self,
-            eigenvalues=tuple(complex(values[i]) for i in order),
-            multiplicities=tuple(self.multiplicities[i] for i in order),
-            indices=tuple(self.indices[i] for i in order),
-            exponents=tuple(self.exponents[i] for i in order),
+            eigenvalues=[values[i] for i in order],
+            multiplicities=[self.multiplicities[i] for i in order],
+            indices=[self.indices[i] for i in order],
+            exponents=[self.exponents[i] for i in order],
             **changes,
         )
 
@@ -342,7 +331,7 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
                     f"{m}; the clustering radius is likely too small"
                 )
             indices.append(nu)
-    return _assemble(values, mults, indices, a.shape[0], cfg, exponents)
+    return _assemble(values, mults, indices, cfg, exponents)
 
 
 def spectrum_from_data(
@@ -358,7 +347,7 @@ def spectrum_from_data(
     This bypasses the eigenvalue solver entirely — for exactly-known or
     ill-conditioned spectra. Values within the effective clustering radius
     of zero are snapped to exactly 0; everything is re-sorted canonically.
-    ``n`` defaults to the multiplicity sum.
+    When ``n`` is given, the multiplicities must sum to it.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     values = np.asarray(eigenvalues, dtype=complex).ravel()
@@ -366,25 +355,32 @@ def spectrum_from_data(
     inds = [int(v) for v in np.asarray(indices).ravel()]
     if not (len(values) == len(mults) == len(inds)):
         raise PreconditionError("eigenvalues, multiplicities and indices must have equal length")
-    if n is None:
-        n = sum(mults)
+    if n is not None and sum(mults) != n:
+        raise PreconditionError(f"multiplicities sum to {sum(mults)}, expected {n}")
     values = np.where(np.abs(values) <= effective_cluster_radius(values, cfg), 0j, values)
-    return _assemble(values, mults, inds, int(n), cfg, exponents)
+    return _assemble(values, mults, inds, cfg, exponents)
 
 
-def _assemble(values, mults, indices, n, cfg, exponents) -> Spectrum:
-    """Validated Spectrum of the aligned ``values``, ``mults`` and ``indices``,
-    sorted canonically before the exponent policy applies."""
-    indices = tuple(int(v) for v in indices)
-    sp = Spectrum(
-        eigenvalues=(),
-        multiplicities=tuple(int(m) for m in mults),
-        indices=indices,
-        exponents=indices,
-        u=0,
-        source_dim=int(n),
+def _assemble(values, mults, indices, cfg, exponents) -> Spectrum:
+    """Spectrum of the aligned ``values``, ``mults`` and ``indices``, sorted
+    canonically, under the exponent policy ``exponents``.
+
+    Values closer than twice the clustering radius raise
+    :class:`ClusteringError` before the Spectrum checks the rest, so exact
+    duplicates get the separation message too.
+    """
+    order = canonical_order(values)
+    values = np.asarray(values, dtype=complex)[order]
+    _require_separated(
+        values,
+        effective_cluster_radius(values, cfg),
+        "eigenvalues {} and {} are closer than twice the clustering radius; lower the "
+        "radius or supply the spectrum explicitly",
     )
-    return sp._resorted(values).with_exponents(exponents).validate(cfg)
+    indices = [indices[i] for i in order]
+    # the largest index is a valid inner power until the policy sets the powers
+    sp = Spectrum(values, [mults[i] for i in order], indices, indices, max(indices, default=1))
+    return sp.with_exponents(exponents)
 
 
 def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
@@ -392,9 +388,10 @@ def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
 
     Used to snap a centroid known to be exact (0 or, for stochastic
     matrices, 1) onto that exact value; the cluster's multiplicity, index
-    and exponent are kept. The result is re-sorted canonically.
+    and exponent are kept. The result is re-sorted canonically; a value
+    already in the spectrum raises :class:`PreconditionError`.
     """
     sp._check_position(k)
     values = list(sp.eigenvalues)
     values[k - 1] = complex(value)
-    return sp._resorted(values)._check_powers()
+    return sp._resorted(values)

@@ -4,6 +4,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 import speccomp.cli
@@ -333,3 +334,68 @@ class TestDocumentValidation:
         code, _, err = run(capsys, ["spectrum", "--input", str(path)])
         assert code == 1
         assert "line 1" in err and "column 3" in err
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestMalformedInput:
+    """Malformed bytes exit 1 with one bounded error line, never a traceback."""
+
+    def test_non_utf8_bytes_are_1(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"n":1}')
+        code, out, err = run(capsys, ["spectrum", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert _one_error_line(err) and "UTF-8" in err and "byte 0" in err
+
+    def test_deep_nesting_is_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, ["spectrum", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert _one_error_line(err) and "nested too deeply" in err
+
+    def test_integer_past_the_digit_limit_is_1(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text('{"n": ' + "7" * 5000 + "}", encoding="utf-8")
+        code, out, err = run(capsys, ["spectrum", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert _one_error_line(err) and len(err) < 300
+
+    def test_integer_entry_past_the_float_range_is_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "entries": [[1' + "0" * 400 + ", 0]]}", encoding="utf-8")
+        code, out, err = run(capsys, ["spectrum", "--input", str(path)])
+        assert (code, out, err) == (1, "", "error: entries[0]: entries must be finite\n")
+
+    @pytest.mark.parametrize("where", ["n", "pair", "multiplicity", "csv"])
+    def test_a_megabyte_value_gives_a_short_error(self, tmp_path, capsys, where):
+        big = "x" * 1_000_000
+        record = {"value": [1, 0], "multiplicity": 1, "index": 1}
+        doc = {"n": 1, "entries": [[1, 0]], "spectrum": [record]}
+        if where == "n":
+            doc["n"] = big
+        elif where == "pair":
+            doc["entries"] = [[big, 0]]
+        elif where == "multiplicity":
+            record["multiplicity"] = big
+        if where == "csv":
+            path = tmp_path / "big.csv"
+            path.write_text(f"1,{big}\n", encoding="utf-8")
+        else:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["spectrum", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert _one_error_line(err) and len(err.encode()) < 300, err[:400]
+        assert "'xxxxx" in err and "..." in err
+
+    def test_short_values_are_echoed_as_before(self, tmp_path, capsys):
+        doc = write_json(tmp_path / "n.json", {"n": "two", "entries": []})
+        code, _, err = run(capsys, ["spectrum", "--input", doc])
+        assert (code, err) == (1, "error: 'n' must be a positive integer, got 'two'\n")
+        doc = write_json(tmp_path / "pair.json", {"n": 1, "entries": [[1, 2, 3]]})
+        code, _, err = run(capsys, ["spectrum", "--input", doc])
+        assert err == "error: entries[0]: expected a [re, im] pair of numbers, got [1, 2, 3]\n"

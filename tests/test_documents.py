@@ -1,7 +1,13 @@
-"""Document rendering: one-line JSON reports that re-parse exactly, matrix blocks and CSV."""
+"""Documents: one-line JSON reports that re-parse exactly, matrix blocks and CSV, and
+malformed input refused with one short error line."""
 
+import contextlib
+import io
 import json
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -108,3 +114,80 @@ def test_matrix_block_matches_per_element_build():
         assert csv_render([("m", m)]) == _old_csv([("m", m)])
     named = [(f"Z_{i}", m) for i, m in enumerate(cases)]
     assert csv_render(named) == _old_csv(named)
+
+
+# A valid document; each strategy below puts a generated value in one place.
+BASE = {
+    "n": 2,
+    "entries": [[0, 0], [0, 0], [0, 0], [2, 0]],
+    "spectrum": [{"value": [2, 0], "multiplicity": 1, "index": 1},
+                 {"value": [0, 0], "multiplicity": 1, "index": 1}],
+}
+
+
+def _number(x) -> bool:
+    """A value the parser takes as a finite number."""
+    return type(x) is int or (type(x) is float and math.isfinite(x))
+
+
+def _with(place, value):
+    doc = json.loads(json.dumps(BASE))
+    if place == "n":
+        doc["n"] = value
+    elif place == "entries":
+        doc["entries"] = value
+    elif place == "pair":
+        doc["entries"][1] = value
+    else:
+        doc["spectrum"][0] = value
+    return json.dumps(doc).encode()
+
+
+def _float(cell: str) -> bool:
+    try:
+        float(cell.strip())
+    except ValueError:
+        return False
+    return True
+
+
+# drop the generated values that would make the document valid
+malformed_json = st.one_of(
+    payloads.filter(lambda v: not (type(v) is int and v == 2)).map(lambda v: _with("n", v)),
+    payloads.filter(lambda v: not (isinstance(v, list) and len(v) == 4))
+    .map(lambda v: _with("entries", v)),
+    payloads.filter(lambda v: not (isinstance(v, list) and len(v) == 2 and all(map(_number, v))))
+    .map(lambda v: _with("pair", v)),
+    payloads.filter(lambda v: not (isinstance(v, dict) and {"value", "multiplicity", "index"} <= set(v)))
+    .map(lambda v: _with("record", v)),
+)
+cells = st.one_of(st.sampled_from(["1", "-2.5", "nan", "inf", "1e999", "", " ", "x", "1_0"]),
+                  st.text(alphabet=string.printable.replace(",", "").strip(), max_size=6))
+csv_rows = st.lists(st.lists(cells, min_size=1, max_size=5), min_size=1, max_size=4).map(
+    lambda rows: "\n".join(",".join(row) for row in rows)
+).filter(lambda text: any(line.strip() and not all(map(_float, line.split(",")))
+                          for line in text.splitlines()))
+
+
+def _spectrum_cli(data: bytes, suffix: str):
+    """``main(["spectrum", "--input", file])`` on ``data``: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"doc{suffix}"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectrum", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    malformed_json.map(lambda data: (data, ".json")),
+    st.binary(max_size=64).map(lambda data: (data, ".json")),
+    csv_rows.map(lambda text: (text.encode(), ".csv")),
+))
+def test_malformed_document_exits_1_with_one_short_error_line(case):
+    code, out, err = _spectrum_cli(*case)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 300

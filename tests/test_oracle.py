@@ -48,13 +48,13 @@ def jordan_specs(draw):
 class TestJordanSpec:
     def test_rejects_duplicate_eigenvalues(self):
         with pytest.raises(PreconditionError):
-            JordanSpec([(1.0, [1]), (1.0, [2])]).validate()
+            JordanSpec([(1.0, [1]), (1.0, [2])])
 
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(PreconditionError):
-            JordanSpec([]).validate()
+            JordanSpec([])
         with pytest.raises(PreconditionError):
-            JordanSpec([(1.0, [0])]).validate()
+            JordanSpec([(1.0, [0])])
 
     def test_dim(self):
         assert JordanSpec([(1.0, [2, 1]), (-2.0, [3])]).dim == 6

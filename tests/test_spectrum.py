@@ -299,6 +299,11 @@ class TestSpectrumType:
         with pytest.raises(PreconditionError):
             sp.position_of(7.0)
 
+    def test_position_of_nan_raises(self):
+        sp = spectrum_from_data([2.0, 0.0], [1, 1], [1, 1])
+        with pytest.raises(PreconditionError):
+            sp.position_of(float("nan"))
+
     def test_worst_case_exponents_from_known_indices(self):
         sp = spectrum_from_data([2.0, 0.0], [3, 2], [2, 1])
         wc = sp.with_exponents("worst_case")
@@ -351,3 +356,52 @@ class TestHugeEntries:
         with np.errstate(over="ignore"):
             sp = analyze(1e200 * np.array([[1, 1], [0, 1]], dtype=complex))
         assert sp.indices == (2,)
+
+
+class TestSelfChecked:
+    """A Spectrum checks the product formulas' hypotheses when it is built."""
+
+    def test_u_below_ind_a_rejected(self):
+        # accepted unchecked, this spectrum made eigenprojection_zero return 0
+        # for diag(2, 0), whose projector at 0 is diag(0, 1), with zero residuals
+        with pytest.raises(PreconditionError, match="inner power u = 0"):
+            Spectrum(eigenvalues=(2, 0), multiplicities=(1, 1), indices=(1, 1),
+                     exponents=(1, 1), u=0)
+
+    def test_relabel_onto_an_existing_eigenvalue_rejected(self):
+        # accepted, the spectrum (0j, 0j) made eigenprojection_zero return I
+        with pytest.raises(PreconditionError, match="pairwise distinct"):
+            replace_eigenvalue(analyze(np.diag([2.0, 0.0])), 1, 0.0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (((), (), (), (), 1), "at least one eigenvalue"),
+            (((1, 2), (1,), (1, 1), (1, 1), 1), "one entry per eigenvalue"),
+            (((1, 2), (1, 1), (2, 1), (2, 1), 1), "index 2 out of range 1..1 at position 1"),
+            (((1, 2), (1, 2), (1, 2), (1, 1), 1), "exponent 1 smaller than index 2 at position 2"),
+            (((1, 0), (1, 2), (1, 2), (1, 2), 1), "inner power u = 1"),
+        ],
+    )
+    def test_each_invariant_checked(self, fields, message):
+        with pytest.raises(PreconditionError, match=message):
+            Spectrum(*fields)
+
+    def test_fields_become_tuples(self):
+        sp = Spectrum([2, 0], np.array([1, 2]), [1, 2], [1, 2], np.int64(2))
+        assert sp.eigenvalues == (2 + 0j, 0j)
+        assert all(type(v) is complex for v in sp.eigenvalues)
+        for field in (sp.multiplicities, sp.indices, sp.exponents):
+            assert type(field) is tuple and all(type(v) is int for v in field)
+        assert type(sp.u) is int
+        assert sp.source_dim == 3
+
+    def test_source_dim_not_a_field(self):
+        assert "source_dim" not in {f.name for f in dataclasses.fields(Spectrum)}
+
+    def test_copies_are_checked(self):
+        sp = spectrum_from_data([2.0, 0.0], [2, 2], [2, 2])
+        with pytest.raises(PreconditionError, match="exponent 1 smaller than index 2"):
+            sp.with_exponents([1, 2])
+        with pytest.raises(PreconditionError, match="inner power u = 1"):
+            dataclasses.replace(sp, u=1)
