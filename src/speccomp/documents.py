@@ -106,8 +106,8 @@ def _parse_json(text: str):
             mult = rec.get("multiplicity")
             index = rec.get("index")
             for name, v in (("multiplicity", mult), ("index", index)):
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise InputFormatError(f"{where}.{name} must be a positive integer, got {_shown(v)}")
+                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+                    raise InputFormatError(f"{where}.{name} must be an integer in 1..{n}, got {_shown(v)}")
             records.append({"value": value, "multiplicity": mult, "index": index})
         if sum(r["multiplicity"] for r in records) != n:
             raise InputFormatError("spectrum multiplicities must sum to n")

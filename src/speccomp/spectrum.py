@@ -49,27 +49,35 @@ class Spectrum:
     - ``multiplicities``: algebraic multiplicities, summing to ``source_dim``
     - ``indices``: size of the largest Jordan block per eigenvalue
     - ``exponents``: per-eigenvalue powers, each at least the index
-    - ``u``: inner power used by the projector-at-zero product, >= ind_a
 
     Construction converts the fields to tuples of ``complex`` and ``int``
     and checks them, so every Spectrum (copies included) meets the product
-    formulas' hypotheses; :class:`PreconditionError` otherwise.
+    formulas' hypotheses; :class:`PreconditionError` otherwise, including
+    for a non-finite eigenvalue or a non-integral count.
     """
 
     eigenvalues: tuple
     multiplicities: tuple
     indices: tuple
     exponents: tuple
-    u: int
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", tuple(map(complex, self.eigenvalues)))
         for name in ("multiplicities", "indices", "exponents"):
-            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
-        object.__setattr__(self, "u", int(self.u))
+            counts = tuple(getattr(self, name))
+            for i, v in enumerate(counts):
+                try:
+                    whole = int(v) == v
+                except (ValueError, OverflowError):  # NaN or infinity
+                    whole = False
+                if not whole:
+                    raise PreconditionError(f"{name} must be integers, got {v} at position {i + 1}")
+            object.__setattr__(self, name, tuple(map(int, counts)))
         s = self.s
         if s == 0:
             raise PreconditionError("spectrum must contain at least one eigenvalue")
+        if not np.isfinite(self.eigenvalues).all():
+            raise PreconditionError("spectrum eigenvalues must be finite")
         if any(len(field) != s for field in (self.multiplicities, self.indices, self.exponents)):
             raise PreconditionError("spectrum fields must all have one entry per eigenvalue")
         if len(set(self.eigenvalues)) != s:
@@ -79,10 +87,6 @@ class Spectrum:
                 raise PreconditionError(f"index {nu} out of range 1..{m} at position {i + 1}")
             if ue < nu:
                 raise PreconditionError(f"exponent {ue} smaller than index {nu} at position {i + 1}")
-        if self.u < max(self.ind_a, 1):
-            raise PreconditionError(
-                f"inner power u = {self.u} must be at least max(ind_a, 1) = {max(self.ind_a, 1)}"
-            )
 
     @property
     def s(self) -> int:
@@ -108,6 +112,12 @@ class Spectrum:
         pos = self.zero_position
         return 0 if pos is None else self.indices[pos]
 
+    @property
+    def u(self) -> int:
+        """Inner power of the projector-at-zero product: the exponent at 0, 1 without one."""
+        pos = self.zero_position
+        return 1 if pos is None else self.exponents[pos]
+
     def position_of(self, value, tol: float = 0.0) -> int:
         """1-based position of the eigenvalue nearest ``value``.
 
@@ -128,41 +138,35 @@ class Spectrum:
     def with_exponents(self, exponents) -> "Spectrum":
         """Same eigenvalues, multiplicities and indices, new exponent choice.
 
-        ``exponents`` is ``"minimal"`` (exponent = index, u = max(ind_a, 1)),
-        ``"worst_case"`` (exponent = multiplicity, u = dimension), or an
-        explicit sequence aligned with the eigenvalue order.
+        ``exponents`` is ``"minimal"`` (exponent = index), ``"worst_case"``
+        (exponent = multiplicity), or an explicit sequence aligned with the
+        eigenvalue order.
         """
         if exponents == "minimal":
-            return replace(self, exponents=self.indices, u=max(self.ind_a, 1))
+            return replace(self, exponents=self.indices)
         if exponents == "worst_case":
-            return replace(self, exponents=self.multiplicities, u=self.source_dim)
+            return replace(self, exponents=self.multiplicities)
         if isinstance(exponents, str):
             raise PreconditionError(
                 f"unknown exponent policy {exponents!r}; use 'minimal', 'worst_case', "
                 "or an explicit integer sequence"
             )
-        ulist = tuple(int(v) for v in exponents)
-        if len(ulist) != self.s:
-            raise PreconditionError(f"expected {self.s} explicit exponents, got {len(ulist)}")
-        pos = self.zero_position
-        u = 1 if pos is None else ulist[pos]
-        return replace(self, exponents=ulist, u=u)
+        return replace(self, exponents=exponents)
 
     def shifted(self, k: int) -> "Spectrum":
         """Spectrum of ``A - lambda_k I`` given this spectrum of ``A``.
 
         Eigenvalues shift by ``-lambda_k`` (position k becomes exactly 0),
-        multiplicities, indices and exponents are unchanged, and the inner
-        power ``u`` becomes the k-th exponent: the shifted matrix has index
-        equal to the k-th index, which that exponent dominates.
+        multiplicities, indices and exponents are unchanged, so the inner
+        power ``u`` is the k-th exponent.
         """
         self._check_position(k)
         lam = self.eigenvalues[k - 1]
         values = [v - lam for v in self.eigenvalues]
         values[k - 1] = 0j
-        return self._resorted(values, u=self.exponents[k - 1])
+        return self._resorted(values)
 
-    def _resorted(self, values, **changes) -> "Spectrum":
+    def _resorted(self, values) -> "Spectrum":
         """Copy with the eigenvalues replaced by ``values`` (aligned with the
         current positions) and every per-position field re-sorted canonically."""
         order = canonical_order(values)
@@ -172,7 +176,6 @@ class Spectrum:
             multiplicities=[self.multiplicities[i] for i in order],
             indices=[self.indices[i] for i in order],
             exponents=[self.exponents[i] for i in order],
-            **changes,
         )
 
 
@@ -298,15 +301,15 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
 
     ``exponents`` selects how the product-formula powers are chosen:
 
-    - ``"minimal"``: exponent = index, u = max(ind A, 1). Smallest valid
-      powers, at the cost of one rank-plateau search per repeated
-      eigenvalue. A simple eigenvalue (multiplicity 1) has index 1, since
+    - ``"minimal"``: exponent = index. Smallest valid powers, at the cost
+      of one rank-plateau search per repeated eigenvalue. A simple
+      eigenvalue (multiplicity 1) has index 1, since
       ``1 <= index <= multiplicity``, and gets it without a search; whether
       its cluster really is an eigenvalue is left to the residuals of the
       caller's result.
-    - ``"worst_case"``: exponent = multiplicity, u = n. Always valid and
-      needs no rank computations (indices are recorded as their
-      multiplicity upper bounds), trading larger products for robustness.
+    - ``"worst_case"``: exponent = multiplicity. Always valid and needs no
+      rank computations (indices are recorded as their multiplicity upper
+      bounds), trading larger products for robustness.
     - an explicit sequence of s integers aligned with the canonical
       eigenvalue order, validated against the computed indices.
     """
@@ -351,12 +354,14 @@ def spectrum_from_data(
     """
     cfg = cfg or DEFAULT_TOLERANCES
     values = np.asarray(eigenvalues, dtype=complex).ravel()
-    mults = [int(m) for m in np.asarray(multiplicities).ravel()]
-    inds = [int(v) for v in np.asarray(indices).ravel()]
+    mults = np.asarray(multiplicities).ravel().tolist()
+    inds = np.asarray(indices).ravel().tolist()
     if not (len(values) == len(mults) == len(inds)):
         raise PreconditionError("eigenvalues, multiplicities and indices must have equal length")
     if n is not None and sum(mults) != n:
         raise PreconditionError(f"multiplicities sum to {sum(mults)}, expected {n}")
+    if not np.isfinite(values).all():
+        raise PreconditionError("spectrum eigenvalues must be finite")
     values = np.where(np.abs(values) <= effective_cluster_radius(values, cfg), 0j, values)
     return _assemble(values, mults, inds, cfg, exponents)
 
@@ -378,9 +383,7 @@ def _assemble(values, mults, indices, cfg, exponents) -> Spectrum:
         "radius or supply the spectrum explicitly",
     )
     indices = [indices[i] for i in order]
-    # the largest index is a valid inner power until the policy sets the powers
-    sp = Spectrum(values, [mults[i] for i in order], indices, indices, max(indices, default=1))
-    return sp.with_exponents(exponents)
+    return Spectrum(values, [mults[i] for i in order], indices, indices).with_exponents(exponents)
 
 
 def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:

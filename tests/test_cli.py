@@ -168,16 +168,34 @@ class TestExitCodes:
         assert "stochastic" in err
 
     def test_conditioning_guard_is_3(self, tmp_path, capsys):
+        # the double eigenvalue 1e-7 gets exponent 2 under worst-case, so its
+        # factor (I - A/1e-7)^2 has norm 1e28
+        doc = write_json(
+            tmp_path / "extreme.json",
+            {"n": 3, "entries": [[1e-7, 0], [0, 0], [0, 0],
+                                 [0, 0], [1e-7, 0], [0, 0],
+                                 [0, 0], [0, 0], [1e7, 0]]},
+        )
+        argv = ["projector", "--input", doc, "--tol-eig", "1e-16"]
+        code, _, err = run(capsys, argv + ["--exponents", "worst-case"])
+        assert code == 3
+        assert "minimal" in err
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+
+    def test_simple_extreme_ratio_is_exact_under_worst_case(self, tmp_path, capsys):
+        # every exponent is a multiplicity, here 1, and no eigenvalue is 0, so
+        # the projector is (I - A/1e7)(I - A/1e-7): diagonal, and exactly 0
         doc = write_json(
             tmp_path / "extreme.json",
             {"n": 2, "entries": [[1e-7, 0], [0, 0], [0, 0], [1e7, 0]]},
         )
-        code, _, err = run(
+        code, out, _ = run(
             capsys,
             ["projector", "--input", doc, "--tol-eig", "1e-16", "--exponents", "worst-case"],
         )
-        assert code == 3
-        assert "minimal" in err
+        assert code == 0
+        assert not matrix_from_block(json.loads(out)["projector"]).any()
 
     def test_verify_mismatch_is_4(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", DIAG02)
@@ -369,6 +387,17 @@ class TestMalformedInput:
         path.write_text('{"n": 1, "entries": [[1' + "0" * 400 + ", 0]]}", encoding="utf-8")
         code, out, err = run(capsys, ["spectrum", "--input", str(path)])
         assert (code, out, err) == (1, "", "error: entries[0]: entries must be finite\n")
+
+    @pytest.mark.parametrize("name", ["index", "multiplicity"])
+    @pytest.mark.parametrize("command", ["spectrum", "projector"])
+    def test_a_count_above_n_gives_a_short_error(self, tmp_path, capsys, name, command):
+        record = {"value": [1, 0], "multiplicity": 1, "index": 1}
+        record[name] = int("9" * 4000)
+        doc = write_json(tmp_path / "big.json", {"n": 1, "entries": [[1, 0]], "spectrum": [record]})
+        code, out, err = run(capsys, [command, "--input", doc, "--use-given-spectrum"])
+        assert (code, out) == (1, "")
+        assert _one_error_line(err) and len(err.encode()) < 300, err[:400]
+        assert f"spectrum[0].{name} must be an integer in 1..1, got 9999" in err
 
     @pytest.mark.parametrize("where", ["n", "pair", "multiplicity", "csv"])
     def test_a_megabyte_value_gives_a_short_error(self, tmp_path, capsys, where):

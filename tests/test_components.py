@@ -189,15 +189,16 @@ class TestLagrange:
 
 class TestConditioningGuard:
     def test_extreme_ratio_aborts_under_worst_case(self):
+        # the double eigenvalue 1e-7 gets exponent 2: (I - A/1e-7)^2 has norm 1e28
         cfg = ToleranceConfig(eig_cluster_radius=1e-16)
-        a = np.diag([1e-7, 1e7])
+        a = np.diag([1e-7, 1e-7, 1e7])
         sp = analyze(a, cfg, exponents="worst_case")
-        with pytest.raises(ConditioningError, match="minimal"):
+        with pytest.raises(ConditioningError, match="1.000e\\+28.*minimal"):
             eigenprojection_zero(a, sp, cfg)
 
     def test_minimal_policy_survives_same_matrix(self):
         cfg = ToleranceConfig(eig_cluster_radius=1e-16)
-        a = np.diag([1e-7, 1e7])
+        a = np.diag([1e-7, 1e-7, 1e7])
         sp = analyze(a, cfg, exponents="minimal")
         z = eigenprojection_zero(a, sp, cfg)
         assert np.all(np.isfinite(z))

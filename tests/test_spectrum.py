@@ -15,6 +15,7 @@ from speccomp import (
     ToleranceConfig,
     analyze,
     build_case,
+    eigenprojection_zero,
     spectrum_from_data,
 )
 from speccomp.linalg import rank_numeric
@@ -158,7 +159,7 @@ class TestAnalyze:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(4, 4)).astype(complex)
         sp = analyze(a, exponents="worst_case")
-        assert sp.u == 4
+        assert sp.u == 1  # nonsingular: no exponent at 0
         assert sp.exponents == sp.multiplicities
 
     def test_explicit_exponents_validated(self):
@@ -309,7 +310,7 @@ class TestSpectrumType:
         wc = sp.with_exponents("worst_case")
         assert wc.indices == sp.indices
         assert wc.exponents == (3, 2)
-        assert wc.u == 5
+        assert wc.u == 2  # the multiplicity of 0
 
 
 def _zero_index(sp):
@@ -361,12 +362,11 @@ class TestHugeEntries:
 class TestSelfChecked:
     """A Spectrum checks the product formulas' hypotheses when it is built."""
 
-    def test_u_below_ind_a_rejected(self):
-        # accepted unchecked, this spectrum made eigenprojection_zero return 0
-        # for diag(2, 0), whose projector at 0 is diag(0, 1), with zero residuals
-        with pytest.raises(PreconditionError, match="inner power u = 0"):
-            Spectrum(eigenvalues=(2, 0), multiplicities=(1, 1), indices=(1, 1),
-                     exponents=(1, 1), u=0)
+    def test_u_is_the_exponent_at_zero(self):
+        # a stored u = 0 once made this projector 0 with zero residuals
+        sp = Spectrum((2, 0), (1, 1), (1, 1), (1, 1))
+        assert sp.u == 1
+        assert np.array_equal(eigenprojection_zero(np.diag([2.0, 0.0]), sp), np.diag([0.0, 1.0]))
 
     def test_relabel_onto_an_existing_eigenvalue_rejected(self):
         # accepted, the spectrum (0j, 0j) made eigenprojection_zero return I
@@ -376,11 +376,14 @@ class TestSelfChecked:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            (((), (), (), (), 1), "at least one eigenvalue"),
-            (((1, 2), (1,), (1, 1), (1, 1), 1), "one entry per eigenvalue"),
-            (((1, 2), (1, 1), (2, 1), (2, 1), 1), "index 2 out of range 1..1 at position 1"),
-            (((1, 2), (1, 2), (1, 2), (1, 1), 1), "exponent 1 smaller than index 2 at position 2"),
-            (((1, 0), (1, 2), (1, 2), (1, 2), 1), "inner power u = 1"),
+            (((), (), (), ()), "at least one eigenvalue"),
+            (((1, 2), (1,), (1, 1), (1, 1)), "one entry per eigenvalue"),
+            (((1, 2), (1, 1), (2, 1), (2, 1)), "index 2 out of range 1..1 at position 1"),
+            (((1, 2), (1, 2), (1, 2), (1, 1)), "exponent 1 smaller than index 2 at position 2"),
+            (((float("nan"), 1), (1, 1), (1, 1), (1, 1)), "eigenvalues must be finite"),
+            (((complex(1, np.inf),), (1,), (1,), (1,)), "eigenvalues must be finite"),
+            (((1,), (2.9,), (1,), (1,)), "multiplicities must be integers, got 2.9 at position 1"),
+            (((1,), (2,), (1.5,), (2,)), "indices must be integers, got 1.5 at position 1"),
         ],
     )
     def test_each_invariant_checked(self, fields, message):
@@ -388,7 +391,7 @@ class TestSelfChecked:
             Spectrum(*fields)
 
     def test_fields_become_tuples(self):
-        sp = Spectrum([2, 0], np.array([1, 2]), [1, 2], [1, 2], np.int64(2))
+        sp = Spectrum([2, 0], np.array([1, 2]), [1.0, 2.0], [1, np.int64(2)])
         assert sp.eigenvalues == (2 + 0j, 0j)
         assert all(type(v) is complex for v in sp.eigenvalues)
         for field in (sp.multiplicities, sp.indices, sp.exponents):
@@ -399,9 +402,23 @@ class TestSelfChecked:
     def test_source_dim_not_a_field(self):
         assert "source_dim" not in {f.name for f in dataclasses.fields(Spectrum)}
 
+    def test_fields_are_the_four_per_position_tuples(self):
+        names = [f.name for f in dataclasses.fields(Spectrum)]
+        assert names == ["eigenvalues", "multiplicities", "indices", "exponents"]
+
+    def test_from_data_refuses_non_finite_values_and_non_integral_counts(self):
+        for values in ([float("nan"), 1.0], [np.inf, 1.0]):
+            with pytest.raises(PreconditionError, match="must be finite"):
+                spectrum_from_data(values, [1, 1], [1, 1])
+        for count in (1.5, float("nan"), np.inf):
+            with pytest.raises(PreconditionError, match="multiplicities must be integers"):
+                spectrum_from_data([1.0], [count], [1])
+        with pytest.raises(PreconditionError, match="must be finite"):
+            replace_eigenvalue(spectrum_from_data([1.0, 2.0], [1, 1], [1, 1]), 1, float("nan"))
+        sp = spectrum_from_data([1.0], [2.0], np.array([1], dtype=np.int64))
+        assert (sp.multiplicities, sp.indices) == ((2,), (1,))
+
     def test_copies_are_checked(self):
         sp = spectrum_from_data([2.0, 0.0], [2, 2], [2, 2])
         with pytest.raises(PreconditionError, match="exponent 1 smaller than index 2"):
             sp.with_exponents([1, 2])
-        with pytest.raises(PreconditionError, match="inner power u = 1"):
-            dataclasses.replace(sp, u=1)
