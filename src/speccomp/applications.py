@@ -74,14 +74,16 @@ def drazin_inverse(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.nd
     return solve(a + z, identity(a.shape[0]) - z, cfg)
 
 
-def cesaro_limit(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
+def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | None = None) -> np.ndarray:
     """Limiting matrix of a row-stochastic chain.
 
     Returns the order-0 component of P at eigenvalue 1 — the long-run
     average of the powers of P, which exists even for periodic chains. The
     eigenvalue cluster nearest 1 (within 10x the effective clustering
     radius) is snapped to exactly 1 before the component engine runs,
-    mirroring the zero-snap rule.
+    mirroring the zero-snap rule. ``spectrum`` is P's spectrum when the
+    caller has it already, as ``analyze(p, cfg)`` returns it; without it,
+    that call is made here.
     """
     p = as_matrix(p)
     cfg = cfg or DEFAULT_TOLERANCES
@@ -95,7 +97,7 @@ def cesaro_limit(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     if np.max(np.abs(p.imag)) > tol or np.min(p.real) < -tol:
         raise PreconditionError("matrix is not row-stochastic: entries must be (near-)real and nonnegative")
 
-    sp = analyze(p, cfg, exponents="minimal")
+    sp = analyze(p, cfg, exponents="minimal") if spectrum is None else spectrum
     values = np.asarray(sp.eigenvalues, dtype=complex)
     k = int(np.abs(values - 1.0).argmin()) + 1
     distance = abs(values[k - 1] - 1.0)

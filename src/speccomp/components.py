@@ -1,13 +1,15 @@
 """Eigenprojections and spectral components via polynomial products.
 
 The eigenprojection at 0 is the product over the nonzero eigenvalues of
-``(I - (A/lam_i)^u)^(u_i)``. The order-j component at ``lam_k`` comes from
-the same product built for the shifted matrix ``A - lam_k I`` — with inner
-power ``u_k`` and the remaining eigenvalues shifted — times the trailing
-``(1/j!) (A - lam_k I)^j`` factor. Factors commute exactly (they are
-polynomials in A) but floating point does not, so they are always
-multiplied in ascending position order; outputs are reproducible
-bit-for-bit per build.
+``(I - (A/lam_i)^u)^(u_i)``, and exactly 0 when ``u = ind A = 0``. The
+order-j component at ``lam_k`` comes from the same product built for the
+shifted matrix ``A - lam_k I`` — with inner power ``u_k`` and the remaining
+eigenvalues shifted — times the trailing ``(1/j!) (A - lam_k I)^j`` factor.
+Where ``u_k = 1`` each factor is ``(A - lam_i I)^(u_i)``, which does not
+depend on k, over a scalar, so all those projectors share one sweep of
+prefix and suffix products (:func:`_lagrange`). Factors commute exactly
+(they are polynomials in A) but floating point does not, so every product
+keeps one fixed order; outputs are reproducible bit-for-bit per build.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class ComponentSet:
         - ``idempotency``:            Z_k0 @ Z_k0 = Z_k0
         - ``commutation``:            A @ Z_kj = Z_kj @ A
         - ``resolution_of_identity``: sum_k Z_k0 = I
-        - ``orthogonality``:          Z_k0 @ Z_l0 = 0 for k != l
+        - ``orthogonality``:          Z_k0 @ (S - Z_k0) = 0, with S = sum_l Z_l0
         - ``annihilation``:           (A - lam_k I)^index_k @ Z_k0 = 0
         - ``ladder``:                 (A - lam_k I) @ Z_kj = (j+1) Z_k,j+1
         - ``reconstruction``:         A = sum_k (lam_k Z_k0 + Z_k1)
@@ -78,10 +80,7 @@ class ComponentSet:
         total = sum(proj.values())
         resolution = frob(total - eye) / max(1.0, max(norms.values()))
         orth = _worst(
-            frob(zk @ zl) / max(1.0, norms[k] * norms[l])
-            for k, zk in proj.items()
-            for l, zl in proj.items()
-            if k != l
+            frob(z @ (total - z)) / max(1.0, norms[k] * frob(total - z)) for k, z in proj.items()
         )
         annihilation = []
         ladder = []
@@ -173,16 +172,14 @@ def _bilinear(x: np.ndarray, y: np.ndarray, form) -> float:
     return frob(form(x, y)) / max(1.0, fx * fy)
 
 
-def _guard(m: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
+def _guard(norm: float, cfg: ToleranceConfig, what: str) -> None:
     limit = 1e12 / cfg.verify_tol
-    norm = frob(m)
     if not np.isfinite(norm) or norm > limit:
         raise ConditioningError(
             f"{what} has Frobenius norm {norm:.3e}, beyond the conditioning guard "
             f"{limit:.3e}; the eigenvalue ratios are too extreme for these exponents — "
             "try the 'minimal' exponent policy or supply a better-conditioned spectrum"
         )
-    return m
 
 
 def _check_pair(a: np.ndarray, sp: Spectrum) -> None:
@@ -207,23 +204,142 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
     with np.errstate(over="ignore", invalid="ignore"):
         for count, (lam_i, outer) in enumerate(others):
             quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
-            factor = _guard(_mat_pow(eye - _mat_pow(quotient, inner), outer), cfg, "product factor")
+            factor = _mat_pow(eye - _mat_pow(quotient, inner), outer)
+            _guard(frob(factor), cfg, "product factor")
             z = factor if count == 0 else z @ factor
-    return _guard(z, cfg, "product of factors") if len(others) > 1 else z
+    if len(others) > 1:
+        _guard(frob(z), cfg, "product of factors")
+    return z
+
+
+# A carried matrix is rescaled once its size leaves 2**+-64: products of two
+# stay far inside the floating-point range, and most matrices are never touched.
+_SCALE_RANGE = 64
+
+
+def _split(m: np.ndarray, norm: float | None = None):
+    """``(m * 2**-e, e)``, with e the binary exponent of ``norm``, by default
+    the largest real or imaginary part of ``m``; ``(m, 0)`` while e is within
+    ``_SCALE_RANGE`` of 0. Exact: only exponents change."""
+    if norm is None:
+        norm = np.max(np.abs(m.view(float)))
+    e = int(np.frexp(norm)[1])
+    if abs(e) <= _SCALE_RANGE:
+        return m, 0
+    return np.ldexp(m.view(float), -e).view(complex), e
+
+
+def _times(x, y):
+    """Product of two scaled matrices ``(m, e)``, each standing for ``m * 2**e``;
+    None stands for I. The result is split again, so no product overflows."""
+    if x is None or y is None:
+        return y if x is None else x
+    m, e = _split(x[0] @ y[0])
+    return m, e + x[1] + y[1]
+
+
+def _lagrange_factor(a: np.ndarray, lam: complex, outer: int):
+    """``(A - lam I)^outer`` as a scaled matrix, and the log2 of its Frobenius
+    norm. A power is taken of the shift scaled below norm 1, so it cannot
+    overflow."""
+    shift = a.copy()
+    shift.flat[:: a.shape[0] + 1] -= lam
+    norm = frob(shift)
+    if outer == 1:
+        return _split(shift, norm), np.log2(norm)
+    e = int(np.frexp(norm)[1])
+    power = _mat_pow(np.ldexp(shift.view(float), -e).view(complex), outer)
+    norm = frob(power)
+    power, f = _split(power, norm)
+    return (power, outer * e + f), np.log2(norm) + outer * e
+
+
+def _lagrange_scalars(sp: Spectrum, rows):
+    """``(d, e, w)`` over the 0-based positions ``rows``: ``d[r] * 2**e[r]`` is
+    ``prod_{i != k} (lam_k - lam_i)^(u_i)`` for ``k = rows[r]``, and ``w[r, i]``
+    is ``log2 |lam_k - lam_i|^(u_i)``, infinite at i = k. Each difference is
+    split into a power of two and a unit-size rest first, so neither overflows.
+    """
+    lam = np.asarray(sp.eigenvalues)
+    u = np.asarray(sp.exponents)
+    off = np.arange(sp.s) != np.asarray(rows)[:, None]
+    diff = np.where(off, lam[rows, None] - lam, 1.0)
+    e = np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1]
+    rest = np.ldexp(diff.real, -e) + 1j * np.ldexp(diff.imag, -e)
+    d = np.prod(np.where(off, rest ** u, 1.0), axis=1)
+    w = np.where(off, u * (np.log2(np.abs(rest)) + e), np.inf)
+    return d, np.where(off, e * u, 0).sum(axis=1), w
+
+
+def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> dict:
+    """``{k: Z_k0}`` for 1-based positions k whose exponent is 1.
+
+    There ``Z_k0 = c_k * prod_{i != k} G_i`` with ``G_i = (A - lam_i I)^(u_i)``
+    and the scalar ``c_k = prod_{i != k} (lam_k - lam_i)^(-u_i)``: the paper's
+    factor ``I - (A - lam_k I)/(lam_i - lam_k)`` is ``G_i / (lam_k - lam_i)``.
+    One right-to-left pass stores the suffix ``G_{k+1} ... G_s`` of each k;
+    one left-to-right pass runs the prefix ``G_1 ... G_{k-1}`` and multiplies
+    it onto the stored suffix, which it then drops. Every matrix is carried
+    beside a power of two and rescaled, exactly, when its size leaves
+    ``2**+-_SCALE_RANGE``. Once per k, the largest factor norm
+    ``||G_i|| / |lam_k - lam_i|^(u_i)``, read from the factors' norms and
+    :func:`_lagrange_scalars`, is guarded, and so is the finished product of
+    two or more factors. A single position runs the same passes over its own
+    prefix and suffix only, so its result has the same bits.
+    """
+    wanted = sorted(k - 1 for k in positions)
+    first, last = wanted[0], wanted[-1]
+    row = {k: r for r, k in enumerate(wanted)}
+    d, d_exp, w = _lagrange_scalars(sp, wanted)
+    log_norm = np.full(sp.s, -np.inf)
+
+    def factor(i):
+        g, log_norm[i] = _lagrange_factor(a, sp.eigenvalues[i], sp.exponents[i])
+        return g
+
+    out = {}
+    with np.errstate(over="ignore", divide="ignore"):
+        suffixes = {}
+        tail = None
+        for i in range(sp.s - 1, first - 1, -1):
+            if i in row:
+                suffixes[i] = tail
+            if i > first:
+                tail = _times(factor(i), tail)
+        head = None
+        for i in range(last + 1):
+            if i in row:
+                r = row[i]
+                product = _times(head, suffixes.pop(i))
+                if product is None:
+                    out[i + 1] = identity(a.shape[0])
+                    continue
+                _guard(float(np.exp2(np.max(log_norm - w[r]))), cfg, "product factor")
+                m, e = product
+                z = np.ldexp((m / d[r]).view(float), e - int(d_exp[r])).view(complex)
+                z += 0.0  # a zero entry divided by a negative d reads -0.0
+                if sp.s > 2:
+                    _guard(frob(z), cfg, "product of factors")
+                out[i + 1] = z
+            if i < last:
+                head = _times(head, factor(i))
+    return out
 
 
 def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:
-    """Eigenprojection of ``a`` at eigenvalue 0.
+    """Eigenprojection of ``a`` at eigenvalue 0: the order-0 component there.
 
     Product of ``(I - (A/lam_i)^u)^(u_i)`` over the nonzero eigenvalues, in
     position order. The empty product (every eigenvalue zero, i.e. a
-    nilpotent matrix) is exactly I; for a nonsingular matrix every factor
-    annihilates its own eigenspace and the result is numerically zero.
+    nilpotent matrix) is exactly I. For a nonsingular matrix ``u = ind A = 0``
+    makes every factor 0, so the result is exactly zero, with no product.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
-    return _prefix(a, sp, 0j, sp.u, cfg)
+    if sp.zero_position is None:
+        return np.zeros_like(a)
+    return component(a, sp, sp.zero_position + 1, 0, cfg)
 
 
 def _order_check(sp: Spectrum, k: int, j: int) -> None:
@@ -234,13 +350,13 @@ def _order_check(sp: Spectrum, k: int, j: int) -> None:
 
 
 def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig) -> list:
-    """``[Z_k0, ..., Z_k,top]``: one product prefix times ``(1/j!) (A - lam_k I)^j``.
+    """``[Z_k0, ..., Z_k,top]`` for a position whose exponent is 2 or more:
+    one product prefix times ``(1/j!) (A - lam_k I)^j``.
 
     The prefix is shared across j and the power is a running product, which
     keeps all components of one eigenvalue consistent. An overflowing
     component (any built on an overflowed power) is a conditioning failure.
     """
-    _order_check(sp, k, top)
     lam = sp.eigenvalues[k - 1]
     shifted = a - lam * identity(a.shape[0])
     prefix = _prefix(shifted, sp, lam, sp.exponents[k - 1], cfg)
@@ -266,17 +382,28 @@ def component(a, sp: Spectrum, k: int, j: int, cfg: ToleranceConfig | None = Non
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
+    _order_check(sp, k, j)
+    if sp.exponents[k - 1] == 1:
+        return _lagrange(a, sp, [k], cfg)[k]
     return _orders(a, sp, k, j, cfg)[j]
 
 
 def all_components(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> ComponentSet:
-    """Every component of ``a``: positions k = 1..s, orders j = 0..index_k - 1."""
+    """Every component of ``a``: positions k = 1..s, orders j = 0..index_k - 1.
+
+    The projectors of all exponent-1 positions come from one shared
+    Lagrange sweep (:func:`_lagrange`); every other position runs its own
+    product.
+    """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
+    ones = [k for k in range(1, sp.s + 1) if sp.exponents[k - 1] == 1]
+    simple = _lagrange(a, sp, ones, cfg) if ones else {}
     parts = {}
     for k in range(1, sp.s + 1):
-        for j, z in enumerate(_orders(a, sp, k, sp.indices[k - 1] - 1, cfg)):
+        orders = [simple[k]] if k in simple else _orders(a, sp, k, sp.indices[k - 1] - 1, cfg)
+        for j, z in enumerate(orders):
             parts[(k, j)] = z
     return ComponentSet(source=a, spectrum=sp, parts=parts)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .components import ComponentSet, _check_pair, _guard
 from .documents import document_payload
 from .exceptions import ConditioningError, PreconditionError, SingularMatrixError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, identity, mat_pow, solve
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, mat_pow, solve
 from .spectrum import Spectrum, canonical_order, spectrum_from_data
 
 __all__ = [
@@ -256,5 +256,6 @@ def lagrange_projector(a, sp: Spectrum, k: int, cfg: ToleranceConfig | None = No
         if pos == k - 1:
             continue
         lam_i = sp.eigenvalues[pos]
-        z = _guard(z @ ((a - lam_i * eye) / (lam_k - lam_i)), cfg, "running product")
+        z = z @ ((a - lam_i * eye) / (lam_k - lam_i))
+        _guard(frob(z), cfg, "running product")
     return z

@@ -114,9 +114,10 @@ class Spectrum:
 
     @property
     def u(self) -> int:
-        """Inner power of the projector-at-zero product: the exponent at 0, 1 without one."""
+        """Inner power of the projector-at-zero product: the exponent at 0, or
+        ``ind A = 0`` without one, which makes that projector exactly 0."""
         pos = self.zero_position
-        return 1 if pos is None else self.exponents[pos]
+        return 0 if pos is None else self.exponents[pos]
 
     def position_of(self, value, tol: float = 0.0) -> int:
         """1-based position of the eigenvalue nearest ``value``.

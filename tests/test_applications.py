@@ -153,6 +153,21 @@ class TestCesaro:
         with pytest.raises(PreconditionError, match="stochastic"):
             cesaro_limit(np.array([[1.5, -0.5], [0.0, 1.0]]))
 
+    def test_given_spectrum_is_used_as_is(self, monkeypatch):
+        import speccomp.applications
+
+        rng = np.random.default_rng(3)
+        p = rng.random((6, 6))
+        p /= p.sum(axis=1, keepdims=True)
+        sp = analyze(p)
+        expected = cesaro_limit(p)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a given spectrum must not be computed again")
+
+        monkeypatch.setattr(speccomp.applications, "analyze", boom)
+        assert np.array_equal(cesaro_limit(p, spectrum=sp), expected)
+
 
 def _projector_at_one(p, cfg=None):
     """Eigenvalue-1 projector of ``components_by_nullspace``.

@@ -169,17 +169,15 @@ class TestExitCodes:
 
     def test_conditioning_guard_is_3(self, tmp_path, capsys):
         # the double eigenvalue 1e-7 gets exponent 2 under worst-case, so its
-        # factor (I - A/1e-7)^2 has norm 1e28
+        # factor (A - 1e-7 I)^2 / (0 - 1e-7)^2 in the projector at 0 has norm 1e28
         doc = write_json(
             tmp_path / "extreme.json",
-            {"n": 3, "entries": [[1e-7, 0], [0, 0], [0, 0],
-                                 [0, 0], [1e-7, 0], [0, 0],
-                                 [0, 0], [0, 0], [1e7, 0]]},
+            document_payload(np.diag([0.0, 1e-7, 1e-7, 1e7])),
         )
         argv = ["projector", "--input", doc, "--tol-eig", "1e-16"]
         code, _, err = run(capsys, argv + ["--exponents", "worst-case"])
         assert code == 3
-        assert "minimal" in err
+        assert "1.000e+28" in err and "minimal" in err
         code, _, _ = run(capsys, argv)
         assert code == 0
 
@@ -233,17 +231,16 @@ class TestExitCodes:
         assert json.loads(out)["residuals"]  # payload still emitted
 
     def test_overflowing_quotient_is_3(self, tmp_path, capsys):
-        # 1e300 / 1e-10 overflows once the radius keeps 1e-10 off zero
-        doc = write_json(
-            tmp_path / "ratio.json", {"n": 2, "entries": [[1e300, 0], [0, 0], [0, 0], [1e-10, 0]]}
-        )
+        # the factor (A - 1e-10 I) / (0 - 1e-10) of the projector at 0 has
+        # norm 1e310 once the radius keeps 1e-10 off zero: past the largest double
+        doc = write_json(tmp_path / "ratio.json", document_payload(np.diag([0.0, 1e300, 1e-10])))
         for command in ("projector", "drazin"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code, _, err = run(capsys, [command, "--input", doc, "--tol-eig", "1e-320"])
             assert code == 3, err
-            assert "quotient" in err
-            assert not any("overflow encountered in divide" in str(w.message) for w in caught)
+            assert "product factor has Frobenius norm inf" in err
+            assert not any("overflow" in str(w.message) for w in caught)
 
     def test_nan_residual_is_4(self, tmp_path, capsys, monkeypatch):
         def residuals(a, sp, z):

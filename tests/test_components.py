@@ -45,9 +45,12 @@ class TestEigenprojectionZero:
         assert np.array_equal(z, np.eye(2))  # empty product, bit-exact
 
     def test_nonsingular_gives_zero(self):
-        a = np.diag([1.0, 2.0])
-        z = eigenprojection_zero(a, analyze(a))
-        assert frob(z) <= 1e-12
+        # u = ind A = 0 makes every factor I - (A/lam_i)^0 exactly 0
+        rng = np.random.default_rng(5)
+        for a in (np.diag([1.0, 2.0]), rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))):
+            sp = analyze(a)
+            assert sp.u == 0
+            assert np.array_equal(eigenprojection_zero(a, sp), np.zeros(a.shape))
 
     def test_matches_oracle_on_constructed_case(self):
         spec = JordanSpec([(0.0, [2]), (3.0, [1])], seed=11)
@@ -189,19 +192,20 @@ class TestLagrange:
 
 class TestConditioningGuard:
     def test_extreme_ratio_aborts_under_worst_case(self):
-        # the double eigenvalue 1e-7 gets exponent 2: (I - A/1e-7)^2 has norm 1e28
+        # the double eigenvalue 1e-7 gets exponent 2: the factor
+        # (A - 1e-7 I)^2 / (0 - 1e-7)^2 of the projector at 0 has norm 1e28
         cfg = ToleranceConfig(eig_cluster_radius=1e-16)
-        a = np.diag([1e-7, 1e-7, 1e7])
+        a = np.diag([0.0, 1e-7, 1e-7, 1e7])
         sp = analyze(a, cfg, exponents="worst_case")
         with pytest.raises(ConditioningError, match="1.000e\\+28.*minimal"):
             eigenprojection_zero(a, sp, cfg)
 
     def test_minimal_policy_survives_same_matrix(self):
         cfg = ToleranceConfig(eig_cluster_radius=1e-16)
-        a = np.diag([1e-7, 1e-7, 1e7])
+        a = np.diag([0.0, 1e-7, 1e-7, 1e7])
         sp = analyze(a, cfg, exponents="minimal")
         z = eigenprojection_zero(a, sp, cfg)
-        assert np.all(np.isfinite(z))
+        assert_allclose(z, np.diag([1.0, 0.0, 0.0, 0.0]), rtol=0, atol=1e-15)
 
     def test_large_inner_power_with_exact_factor_is_kept(self):
         # (A/lam)^2 has norm 2e21, past the guard, but the factor
@@ -233,28 +237,75 @@ def guard_calls(monkeypatch):
 
 
 class TestGuardRule:
-    """Each product factor and each finished product of two or more is guarded once."""
+    """Each projector guards its largest factor norm, read from scalars, and
+    its finished product of two or more factors, once each."""
 
-    def test_all_components_guards_s_squared_matrices(self, guard_calls):
+    def test_all_components_guards_2s_norms(self, guard_calls):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         sp = analyze(a)
         s = sp.s
         assert s == 16
         all_components(a, sp)
-        assert guard_calls.count("product factor") == s * (s - 1)
-        assert guard_calls.count("product of factors") == s
-        assert len(guard_calls) == s * (s - 1) + s
+        assert guard_calls == ["product factor", "product of factors"] * s
 
-    def test_nonsingular_projection_at_zero_guards_s_plus_1(self, guard_calls):
+    def test_nonsingular_projection_at_zero_guards_nothing(self, guard_calls):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         eigenprojection_zero(a, analyze(a))
-        assert guard_calls == ["product factor"] * 4 + ["product of factors"]
+        assert guard_calls == []
+
+    def test_position_of_exponent_2_guards_each_factor(self, guard_calls):
+        a = np.diag([0.0, 0.0, 2.0, 3.0, 4.0])
+        eigenprojection_zero(a, analyze(a, exponents="worst_case"))
+        assert guard_calls == ["product factor"] * 3 + ["product of factors"]
 
     def test_single_factor_is_not_guarded_again(self, guard_calls):
         a = np.diag([0.0, 2.0])
         eigenprojection_zero(a, analyze(a))
         assert guard_calls == ["product factor"]
+
+
+def _generic(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+class TestSharedSweep:
+    """Every exponent-1 projector comes from one prefix and one suffix pass."""
+
+    def test_all_components_makes_about_3s_products(self, monkeypatch):
+        import speccomp.components as components
+
+        products = []
+        times = components._times
+
+        def counting(x, y):
+            products.append(x is not None and y is not None)
+            return times(x, y)
+
+        monkeypatch.setattr(components, "_times", counting)
+        a = _generic(16)
+        sp = analyze(a)
+        assert sp.s == 16
+        all_components(a, sp)
+        assert sum(products) <= 3 * sp.s
+
+    def test_all_components_holds_about_s_matrices(self):
+        import tracemalloc
+
+        a = _generic(64)
+        sp = analyze(a)
+        all_components(a, sp)  # warm-up: first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            cs = all_components(a, sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cs.parts) == sp.s == 64
+        # the s results plus a handful of working matrices, not s suffixes
+        # and s factors besides
+        assert peak <= (sp.s + 16) * a.nbytes
 
 
 class TestAnnihilationPastOverflow:
@@ -370,19 +421,15 @@ class TestInvariants:
                 assert rel_frob(cs.part(k, 0), z) <= 1e-8
 
     def test_pair_residuals_match_their_definition(self, cases):
-        # the residuals norm each projector once; the values keep their bits
+        # orthogonality checks Z_k @ (S - Z_k) = 0 against the sum S that the
+        # resolution of the identity forms; the values keep their bits
         for a, sp, cs in cases:
             proj = [cs.projector(k) for k in range(1, sp.s + 1)]
             eye = np.eye(a.shape[0])
-            resolution = frob(sum(proj) - eye) / max(1.0, max(frob(z) for z in proj))
+            total = sum(proj)
+            resolution = frob(total - eye) / max(1.0, max(frob(z) for z in proj))
             orth = max(
-                (
-                    frob(zk @ zl) / max(1.0, frob(zk) * frob(zl))
-                    for k, zk in enumerate(proj)
-                    for l, zl in enumerate(proj)
-                    if k != l
-                ),
-                default=0.0,
+                frob(z @ (total - z)) / max(1.0, frob(z) * frob(total - z)) for z in proj
             )
             residuals = cs.residuals()
             assert residuals["resolution_of_identity"] == resolution
@@ -424,13 +471,18 @@ class TestOneKernel:
         assert seen
 
     def test_overflowing_quotient_is_a_conditioning_error(self):
-        # 1e300 / 1e-10 overflows: finite input, extreme eigenvalue ratio
+        # 1e300 / 1e-10 is past the largest double: finite input, extreme
+        # eigenvalue ratio. Exponent 1 at 0 reads that factor norm from its
+        # scales; exponent 2 forms the quotient A / 1e-10, which overflows.
         cfg = ToleranceConfig(eig_cluster_radius=1e-320)
-        a = np.diag([1e300, 1e-10])
-        with np.errstate(over="ignore"):
-            sp = analyze(a, cfg)
-            assert sp.eigenvalues == (1e300 + 0j, 1e-10 + 0j)
-            with pytest.raises(ConditioningError, match="quotient"):
+        for a, policy, message in (
+            (np.diag([0.0, 1e300, 1e-10]), "minimal", "product factor has Frobenius norm inf"),
+            (np.diag([0.0, 0.0, 1e300, 1e-10]), "worst_case", "quotient"),
+        ):
+            with np.errstate(over="ignore"):
+                sp = analyze(a, cfg, exponents=policy)
+            assert sp.eigenvalues == (1e300 + 0j, 1e-10 + 0j, 0j)
+            with pytest.raises(ConditioningError, match=message):
                 eigenprojection_zero(a, sp, cfg)
 
     def test_nan_residual_is_reported(self):

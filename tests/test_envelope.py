@@ -5,7 +5,9 @@ pins the size up to which a class stays within the default ``verify_tol``.
 Generic complex Gaussian spectra hold at n=16 and fail at n=48, where the
 CLI must refuse the result (exit 4); normal matrices with eigenvalues on
 the unit circle hold at n=32. The constructed Jordan cases are gated at
-n <= 8 by the release gate.
+n <= 8 by the release gate. The projector at 0 and the Drazin inverse of a
+nonsingular matrix hold at every n: the projector is exactly 0 and the
+Drazin inverse is the plain inverse.
 """
 
 import json
@@ -13,7 +15,15 @@ import json
 import numpy as np
 import pytest
 
-from speccomp import DEFAULT_TOLERANCES, all_components, analyze
+from speccomp import (
+    DEFAULT_TOLERANCES,
+    all_components,
+    analyze,
+    drazin_inverse,
+    drazin_residuals,
+    eigenprojection_residuals,
+    eigenprojection_zero,
+)
 from speccomp.cli import main
 from speccomp.documents import document_payload
 
@@ -39,6 +49,24 @@ def worst_residual(a):
 @pytest.mark.parametrize("family, n", [(generic, 16), (normal_on_circle, 32)])
 def test_inside_the_envelope_every_seed_verifies(family, n):
     worst = max(worst_residual(family(seed, n)) for seed in SEEDS)
+    assert worst <= DEFAULT_TOLERANCES.verify_tol
+
+
+def test_generic_n64_projector_is_inside_the_envelope():
+    for seed in SEEDS:
+        a = generic(seed, 64)
+        sp = analyze(a)
+        z = eigenprojection_zero(a, sp)
+        assert not z.any()
+        assert max(eigenprojection_residuals(a, sp, z).values()) == 0.0
+
+
+def test_generic_n64_drazin_is_inside_the_envelope():
+    worst = 0.0
+    for seed in SEEDS:
+        a = generic(seed, 64)
+        sp = analyze(a)
+        worst = max(worst, *drazin_residuals(a, drazin_inverse(a, sp), sp.ind_a).values())
     assert worst <= DEFAULT_TOLERANCES.verify_tol
 
 

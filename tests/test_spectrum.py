@@ -149,7 +149,7 @@ class TestAnalyze:
         assert sp.multiplicities == (2,)
         assert sp.indices == (2,)
         assert sp.ind_a == 0
-        assert sp.u == 1
+        assert sp.u == 0  # nonsingular: u = ind A
 
     def test_worst_case_policy_skips_index_search(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -159,7 +159,7 @@ class TestAnalyze:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(4, 4)).astype(complex)
         sp = analyze(a, exponents="worst_case")
-        assert sp.u == 1  # nonsingular: no exponent at 0
+        assert sp.u == 0  # nonsingular: no exponent at 0, u = ind A
         assert sp.exponents == sp.multiplicities
 
     def test_explicit_exponents_validated(self):
