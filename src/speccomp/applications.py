@@ -10,7 +10,8 @@ import numpy as np
 
 from .components import ComponentSet, _commutation, _idempotency, component, eigenprojection_zero
 from .exceptions import PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, mat_pow, solve
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _power, _ratio, _split, as_matrix, frob, identity,
+                     solve)
 from .spectrum import Spectrum, analyze, effective_cluster_radius, replace_eigenvalue
 
 __all__ = [
@@ -63,15 +64,19 @@ def matrix_function(cs: ComponentSet, f: ScalarFunctionJet) -> np.ndarray:
 def drazin_inverse(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """Drazin inverse via the eigenprojection at zero.
 
-    With Z that projection, ``A + Z`` is always nonsingular (A is invertible
-    off the generalized nullspace and acts as identity-plus-nilpotent on
-    it), and ``(A + Z)^-1 (I - Z)`` satisfies the Drazin axioms. A singular
-    solve here means Z was wrong for this matrix.
+    With Z that projection, ``A + cZ`` is nonsingular for every ``c != 0``
+    (A is invertible off the generalized nullspace and acts as
+    ``c``-times-identity plus nilpotent on it), and ``(A + cZ)^-1 (I - Z)``
+    satisfies the Drazin axioms. ``c = frob(A) / sqrt(n)``, the root mean
+    square singular value of A (1 for A = 0), puts both parts of the system
+    at A's own scale, so the solve does not refuse it for mixing scales. A
+    singular solve here means Z was wrong for this matrix.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     z = eigenprojection_zero(a, sp, cfg)
-    return solve(a + z, identity(a.shape[0]) - z, cfg)
+    c = frob(a) / np.sqrt(a.shape[0]) or 1.0
+    return solve(a + c * z, identity(a.shape[0]) - z, cfg)
 
 
 def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | None = None) -> np.ndarray:
@@ -116,16 +121,19 @@ def drazin_residuals(a, a_d, ind_a: int) -> dict:
     """Residuals of the three Drazin axioms, scaled like the component checks.
 
     The axioms: ``A^D A A^D = A^D``, ``A A^D = A^D A``, and
-    ``A^(k+1) A^D = A^k`` with k the index of eigenvalue 0.
+    ``A^(k+1) A^D = A^k`` with k the index of eigenvalue 0, read on
+    ``A = M 2**t``, the carried power of M and ``A^D 2**t`` at any scale.
     """
     a = as_matrix(a)
     a_d = as_matrix(a_d)
-    a_k = mat_pow(a, ind_a)
-    a_k1 = a_k @ a
+    m, t = _split(a)
+    p, s = _power(m, ind_a)
+    q = p @ m
+    d = np.ldexp(a_d.view(float), t).view(complex)
     return {
         "inner_inverse": frob(a_d @ a @ a_d - a_d) / max(1.0, frob(a_d) ** 2 * frob(a)),
         "commutation": _commutation(a, a_d),
-        "power_identity": frob(a_k1 @ a_d - a_k) / max(1.0, frob(a_k1) * frob(a_d)),
+        "power_identity": _ratio(frob(q @ d - p), frob(q) * frob(d), s + ind_a * t),
     }
 
 

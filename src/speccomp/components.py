@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _mat_pow, as_matrix, frob, identity
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _mat_pow, _power, _split,
+                     as_matrix, frob, identity)
 from .spectrum import Spectrum
 
 __all__ = [
@@ -127,49 +128,10 @@ def _commutation(a: np.ndarray, z: np.ndarray) -> float:
 
 
 def _annihilation(shifted: np.ndarray, nu: int, z: np.ndarray) -> float:
-    """Residual of ``shifted ** nu @ Z = 0``.
-
-    Past overflow of that power, the residual is the scale-free ratio
-    ``frob(P @ Z) / (frob(P) * frob(Z))`` that :func:`_bilinear` takes, with
-    the power ``P`` built one factor at a time and scaled to unit norm after
-    each, so a direction that later factors keep is not lost to the ones they
-    annihilate. Any underflow or overflow in building it is a conditioning
-    failure.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = _mat_pow(shifted, nu)
-    if np.all(np.isfinite(power)):
-        return _bilinear(power, z, lambda x, y: x @ y)
-    try:
-        with np.errstate(over="raise", under="raise", invalid="raise"):
-            power = shifted / frob(shifted)
-            for _ in range(nu - 1):
-                power = power @ shifted
-                power = power / (frob(power) or 1.0)
-    except FloatingPointError:
-        raise ConditioningError(
-            f"power {nu} of the shifted matrix leaves the floating-point range "
-            "even when scaled to unit norm"
-        ) from None
-    norm_z = frob(z)
-    return frob(power @ (z / norm_z)) if norm_z else 0.0
-
-
-# Entries of x @ y - y @ x are at most 2 frob(x) frob(y) in magnitude.
-_FINITE_PRODUCT = np.finfo(float).max / 4
-
-
-def _bilinear(x: np.ndarray, y: np.ndarray, form) -> float:
-    """``frob(form(x, y)) / max(1, frob(x) * frob(y))`` for a bilinear ``form``.
-
-    Past the norm product at which ``form`` could overflow, the ratio, which
-    is scale-free once that product exceeds 1, is taken on ``x`` and ``y``
-    divided by their norms.
-    """
-    fx, fy = frob(x), frob(y)
-    if fx * fy > _FINITE_PRODUCT:
-        return frob(form(x / fx, y / fy))
-    return frob(form(x, y)) / max(1.0, fx * fy)
+    """Residual of ``shifted ** nu @ Z = 0``, read on the carried power
+    (:func:`_power`) at any scale."""
+    p, e = _power(shifted, nu)
+    return _bilinear(p, z, np.matmul, e)
 
 
 def _guard(norm: float, cfg: ToleranceConfig, what: str) -> None:
@@ -212,23 +174,6 @@ def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: To
     return z
 
 
-# A carried matrix is rescaled once its size leaves 2**+-64: products of two
-# stay far inside the floating-point range, and most matrices are never touched.
-_SCALE_RANGE = 64
-
-
-def _split(m: np.ndarray, norm: float | None = None):
-    """``(m * 2**-e, e)``, with e the binary exponent of ``norm``, by default
-    the largest real or imaginary part of ``m``; ``(m, 0)`` while e is within
-    ``_SCALE_RANGE`` of 0. Exact: only exponents change."""
-    if norm is None:
-        norm = np.max(np.abs(m.view(float)))
-    e = int(np.frexp(norm)[1])
-    if abs(e) <= _SCALE_RANGE:
-        return m, 0
-    return np.ldexp(m.view(float), -e).view(complex), e
-
-
 def _times(x, y):
     """Product of two scaled matrices ``(m, e)``, each standing for ``m * 2**e``;
     None stands for I. The result is split again, so no product overflows."""
@@ -240,18 +185,14 @@ def _times(x, y):
 
 def _lagrange_factor(a: np.ndarray, lam: complex, outer: int):
     """``(A - lam I)^outer`` as a scaled matrix, and the log2 of its Frobenius
-    norm. A power is taken of the shift scaled below norm 1, so it cannot
-    overflow."""
+    norm. The power is carried beside a power of two (:func:`_power`), so it
+    neither overflows nor loses a direction that a later factor keeps."""
     shift = a.copy()
     shift.flat[:: a.shape[0] + 1] -= lam
-    norm = frob(shift)
-    if outer == 1:
-        return _split(shift, norm), np.log2(norm)
-    e = int(np.frexp(norm)[1])
-    power = _mat_pow(np.ldexp(shift.view(float), -e).view(complex), outer)
+    power, e = _power(shift, outer)
     norm = frob(power)
     power, f = _split(power, norm)
-    return (power, outer * e + f), np.log2(norm) + outer * e
+    return (power, e + f), np.log2(norm) + e
 
 
 def _lagrange_scalars(sp: Spectrum, rows):
@@ -417,6 +358,7 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     Z itself being zero).
     """
     a = as_matrix(a)
+    z = np.ascontiguousarray(z, dtype=complex)
     return {
         "idempotency": _idempotency(z),
         "commutation": _commutation(a, z),

@@ -9,6 +9,7 @@ judge singularity by the smallest singular value against the largest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,10 @@ def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a nonempty square matrix and return it as complex128.
 
     Raises :class:`PreconditionError` for non-square input or non-finite
-    entries. Always returns a fresh array, so callers may treat results as
-    immutable values.
+    entries. Always returns a fresh C-ordered array, so callers may treat
+    results as immutable values and view them as pairs of floats.
     """
-    m = np.array(a, dtype=complex)
+    m = np.array(a, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise PreconditionError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -70,16 +71,19 @@ def identity(n: int) -> np.ndarray:
 def frob(a) -> float:
     """Frobenius norm.
 
-    The sum of squares overflows once entries pass about 1e154; only then is
-    the norm taken again of ``a`` scaled by its largest entry magnitude.
-    Squares that underflow are negligible, whatever the caller's ``errstate``.
+    The sum of squares overflows once entries pass about 1e154 and loses
+    digits to underflow once they fall below about 1e-154; only then is the
+    norm taken again of ``a`` scaled by its largest entry magnitude, whatever
+    the caller's ``errstate``. A norm of 0 costs one more pass, which tells an
+    exact zero matrix from one whose squares all underflow.
     """
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(a, "fro"))
-        if norm == np.inf:
-            scale = float(np.max(np.abs(a)))
+        if not 1e-150 <= norm < np.inf and np.asarray(a).any():
+            magnitudes = np.abs(a)
+            scale = float(np.max(magnitudes))
             if np.isfinite(scale):
-                return scale * float(np.linalg.norm(np.asarray(a) / scale, "fro"))
+                return scale * float(np.linalg.norm(magnitudes / scale))
     return norm
 
 
@@ -120,6 +124,62 @@ def _mat_pow(m: np.ndarray, e) -> np.ndarray:
         if e:
             base = base @ base
     return result
+
+
+# A carried matrix is rescaled once its size leaves 2**+-64: products of two
+# stay far inside the floating-point range, and most matrices are never touched.
+_SCALE_RANGE = 64
+
+
+def _split(m: np.ndarray, norm: float | None = None):
+    """``(m * 2**-e, e)``, with e the binary exponent of ``norm``, by default
+    the largest real or imaginary part of ``m``; ``(m, 0)`` while e is within
+    ``_SCALE_RANGE`` of 0. Exact: only exponents change."""
+    if norm is None:
+        norm = np.abs(m.view(float)).max()
+    e = math.frexp(norm)[1]
+    if abs(e) <= _SCALE_RANGE:
+        return m, 0
+    return np.ldexp(m.view(float), -e).view(complex), e
+
+
+def _power(m: np.ndarray, e: int):
+    """``(p, s)`` with ``p * 2**s == m**e``; ``m**1`` is ``m`` itself. Each later
+    power is ``m``, at parts just below ``2**896``, times the one before, split
+    again: no product overflows, and each spans the floating-point range. A
+    rescale that underflows would lose a direction: a conditioning failure."""
+    if e < 2:
+        return (m if e else identity(m.shape[0])), 0
+    top = np.abs(m.view(float)).max()
+    lift = 896 - math.frexp(top)[1]
+    big = np.ldexp(m.view(float), lift).view(complex)
+    try:
+        with np.errstate(under="raise"):
+            p, s = _split(m, top)
+            for _ in range(e - 1):
+                with np.errstate(under="ignore"):
+                    p = big @ p
+                p, f = _split(p)
+                s += f - lift
+    except FloatingPointError:
+        raise ConditioningError(f"power {e} of the shifted matrix leaves the floating-point range") from None
+    return p, s
+
+
+def _ratio(num: float, den: float, e: int) -> float:
+    """``num * 2**e / max(1, den * 2**e)``, formed without overflow."""
+    if den and math.frexp(den)[1] + e > 0:
+        return num / den
+    return math.ldexp(num, e)
+
+
+def _bilinear(x: np.ndarray, y: np.ndarray, form, e: int = 0) -> float:
+    """``frob(form(X, y)) / max(1, frob(X) * frob(y))`` for a bilinear ``form``
+    and ``X = x * 2**e``, taken on ``x`` and ``y`` split by their norms, so no
+    step overflows; scale-free once the norm product passes 1."""
+    fx, fy = frob(x), frob(y)
+    (x, f), (y, g) = _split(x, fx), _split(y, fy)
+    return _ratio(frob(form(x, y)), math.ldexp(fx, -f) * math.ldexp(fy, -g), e + f + g)
 
 
 def rank_numeric(a, cfg: ToleranceConfig | None = None) -> int:

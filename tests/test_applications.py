@@ -105,6 +105,15 @@ class TestDrazin:
         a = np.diag([0.0, 2.0])
         assert_allclose(drazin_inverse(a, analyze(a)), np.diag([0.0, 0.5]), atol=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e5, 1e120, 1e200])
+    def test_singular_matrix_at_any_scale(self, scale):
+        # A + Z mixes a unit projector into A at A's scale; A + cZ does not
+        a = scale * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex)
+        sp = analyze(a)
+        a_d = drazin_inverse(a, sp)
+        assert np.array_equal(a_d, np.diag([0.0, 0.0, 1 / scale]))
+        assert max(drazin_residuals(a, a_d, sp.ind_a).values()) <= 1e-15
+
     def test_axioms_on_constructed_cases(self):
         for spec in corpus(20, master_seed=1234):
             a, _, sp = build_case(spec)

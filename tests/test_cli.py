@@ -295,6 +295,16 @@ class TestExitCodes:
             assert (code, err) == (0, ""), command
             assert set(json.loads(out)["residuals"].values()) == {0.0}, command
 
+    def test_direction_kept_past_an_overflowing_one_exits_0(self, tmp_path, capsys):
+        # the factor A^2 of Z_1_0 keeps only the 1e30 direction, which
+        # (A / ||A||)^2 holds at 1e-340, below the smallest double
+        a = np.array([[0, 1e200, 0], [0, 0, 0], [0, 0, 1e30]])
+        doc = write_json(tmp_path / "kept.json", document_payload(a))
+        code, out, err = run(capsys, ["components", "--input", doc])
+        assert (code, err) == (0, "")
+        z = next(c for c in json.loads(out)["components"] if (c["k"], c["j"]) == (1, 0))
+        assert_allclose(matrix_from_block(z["matrix"]), np.diag([0.0, 0.0, 1.0]), rtol=0, atol=1e-15)
+
     def test_overflowing_product_of_guarded_factors_is_3(self, tmp_path, capsys):
         # factors I - A and I - A/2 have norms near 1e11, inside the guard
         # 1e20; their product has norm 5e21

@@ -208,15 +208,21 @@ class TestConditioningGuard:
         assert_allclose(z, np.diag([1.0, 0.0, 0.0, 0.0]), rtol=0, atol=1e-15)
 
     def test_large_inner_power_with_exact_factor_is_kept(self):
-        # (A/lam)^2 has norm 2e21, past the guard, but the factor
-        # (I - (A/lam)^2)^2 it enters is exactly 0; only factors are guarded
+        # the projector at 0 has exponent 2; its factor for 1e-10 is
+        # (I - (A/1e-10)^2)^2, whose inner power has norm 2e21, past the
+        # guard, but the factor is exactly diag(1, 1, 0, 0); only factors
+        # are guarded
         from speccomp import eigenprojection_residuals
 
         cfg = ToleranceConfig(eig_cluster_radius=1e-20)
-        a = np.array([[1e-10, 1e11], [0, 1e-10]], dtype=complex)
-        sp = spectrum_from_data([1e-10], [2], [2], cfg=cfg)
+        a = np.zeros((4, 4), dtype=complex)
+        a[0, 1] = 1.0
+        a[2, 2] = a[3, 3] = 1e-10
+        a[2, 3] = 1e11
+        sp = spectrum_from_data([0.0, 1e-10], [2, 2], [2, 2], cfg=cfg)
+        assert sp.exponents == (2, 2)
         z = eigenprojection_zero(a, sp, cfg)
-        assert np.all(z == 0)
+        assert np.array_equal(z, np.diag([1.0, 1.0, 0.0, 0.0]))
         assert set(eigenprojection_residuals(a, sp, z).values()) == {0.0}
 
 
@@ -367,6 +373,53 @@ class TestAnnihilationPastOverflow:
         sp = spectrum_from_data([0.0, 1e10], [4, 1], [4, 1])
         with pytest.raises(ConditioningError, match="power 4 of the shifted matrix"):
             eigenprojection_residuals(a, sp, np.eye(5, dtype=complex))
+
+
+class TestCarriedPower:
+    """Each power of a shifted matrix is carried beside a power of two, so a
+    direction that the dominant ones annihilate on the way is kept."""
+
+    def test_kernel_factor_keeps_the_direction_its_power_keeps(self):
+        # the factor A^3 of the projector at 1e150 is diag(0, 0, 0, 1e450);
+        # (A / ||A||)^3 taken at once flushes it to zero
+        b = TestAnnihilationPastOverflow.B
+        z = component(b, analyze(b), 1, 0)
+        assert np.array_equal(z, np.diag([0.0, 0.0, 0.0, 1.0]))
+
+    def test_fortran_ordered_input_reads_as_c_ordered(self):
+        from speccomp import drazin_inverse, drazin_residuals, eigenprojection_residuals
+
+        a = np.array([[0, 1, 0.5, 0], [0, 0, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]], dtype=complex)
+        sp = analyze(a)
+        z, a_d = eigenprojection_zero(a, sp), drazin_inverse(a, sp)
+        f = np.asfortranarray
+        assert eigenprojection_residuals(f(a), sp, f(z)) == eigenprojection_residuals(a, sp, z)
+        assert drazin_residuals(f(a), f(a_d), sp.ind_a) == drazin_residuals(a, a_d, sp.ind_a)
+
+    def test_powers_of_two_scale_the_components_exactly(self, cases):
+        # Z_kj(2^t A) = 2^(j t) Z_kj(A) bit for bit, with the spectrum scaled
+        # by 2^t, or the kernel refuses with a conditioning error; never a
+        # different answer, and not before 2^500
+        refused = set()
+        for a, sp, _ in cases:
+            for policy in ("minimal", "worst_case"):
+                given = dict(multiplicities=sp.multiplicities, indices=sp.indices, exponents=policy)
+                cs = all_components(a, spectrum_from_data(sp.eigenvalues, **given))
+                for t in (0, 1, 64, 200, 500, 700, 800, 1000):
+                    scaled = np.ldexp(a.view(float), t).view(complex)
+                    assert np.all(np.isfinite(scaled))
+                    values = [np.ldexp(v.real, t) + 1j * np.ldexp(v.imag, t) for v in sp.eigenvalues]
+                    try:
+                        got = all_components(scaled, spectrum_from_data(values, **given))
+                    except ConditioningError:
+                        refused.add(t)
+                        continue
+                    assert got.keys() == cs.keys()
+                    for (k, j), part in cs.parts.items():
+                        with np.errstate(over="ignore"):
+                            want = np.ldexp(part.view(float), j * t).view(complex)
+                        assert np.array_equal(got.parts[(k, j)], want), (policy, t, k, j)
+        assert min(refused, default=np.inf) > 500
 
 
 class TestHighOrders:

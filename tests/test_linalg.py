@@ -194,6 +194,12 @@ class TestFrob:
             norm = frob(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert norm == pytest.approx(np.sqrt(3) * 1e200, rel=1e-15)
 
+    def test_tiny_entries_do_not_underflow(self):
+        assert frob(1e-200 * np.eye(3)) == pytest.approx(np.sqrt(3) * 1e-200, rel=1e-15, abs=0)
+        # sqrt(1e-320 + 1e-340) is 1e-160 (1 + 5e-21), which rounds to 1e-160
+        assert frob(np.diag([1e-160, 1e-170])) == pytest.approx(1e-160, rel=1e-15, abs=0)
+        assert frob(np.zeros((3, 3), dtype=complex)) == 0.0
+
     def test_infinite_entries_stay_infinite(self):
         with np.errstate(over="ignore", invalid="ignore"):
             assert frob(np.array([[np.inf, 1.0], [0.0, 1.0]])) == np.inf
