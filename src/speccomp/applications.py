@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .components import ComponentSet, _commutation, _idempotency, component, eigenprojection_zero
+from .components import ComponentSet, _check_pair, _commutation, _idempotency, component, eigenprojection_zero
 from .exceptions import PreconditionError
 from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _power, _ratio, _split, as_matrix, frob, identity,
                      solve)
@@ -70,10 +70,15 @@ def drazin_inverse(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.nd
     satisfies the Drazin axioms. ``c = frob(A) / sqrt(n)``, the root mean
     square singular value of A (1 for A = 0), puts both parts of the system
     at A's own scale, so the solve does not refuse it for mixing scales. A
-    singular solve here means Z was wrong for this matrix.
+    singular solve here means Z was wrong for this matrix. Without a zero
+    eigenvalue Z is 0 and this is the plain inverse, which the solve refuses
+    for a matrix that is numerically singular after all.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
+    if sp.zero_position is None:
+        _check_pair(a, sp)
+        return solve(a, identity(a.shape[0]), cfg)
     z = eigenprojection_zero(a, sp, cfg)
     c = frob(a) / np.sqrt(a.shape[0]) or 1.0
     return solve(a + c * z, identity(a.shape[0]) - z, cfg)

@@ -7,13 +7,16 @@ shifted matrix ``A - lam_k I`` — with inner power ``u_k`` and the remaining
 eigenvalues shifted — times the trailing ``(1/j!) (A - lam_k I)^j`` factor.
 Where ``u_k = 1`` each factor is ``(A - lam_i I)^(u_i)``, which does not
 depend on k, over a scalar, so all those projectors share one sweep of
-prefix and suffix products (:func:`_lagrange`). Factors commute exactly
-(they are polynomials in A) but floating point does not, so every product
-keeps one fixed order; outputs are reproducible bit-for-bit per build.
+prefix and suffix products (:func:`_lagrange`); for a real matrix that
+sweep runs in real arithmetic, one factor per real eigenvalue and one per
+pair of conjugate ones. Factors commute exactly (they are polynomials in
+A) but floating point does not, so every product keeps one fixed order;
+outputs are reproducible bit-for-bit per build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,23 +186,73 @@ def _times(x, y):
     return m, e + x[1] + y[1]
 
 
-def _lagrange_factor(a: np.ndarray, lam: complex, outer: int):
-    """``(A - lam I)^outer`` as a scaled matrix, and the log2 of its Frobenius
+def _shift(x: np.ndarray, lam) -> np.ndarray:
+    """``x - lam I``, as a new array of the dtype of ``x``."""
+    shift = x.copy()
+    shift.flat[:: x.shape[0] + 1] -= lam
+    return shift
+
+
+def _lagrange_factor(x: np.ndarray, lam, outer: int):
+    """``(X - lam I)^outer`` as a scaled matrix, and the log2 of its Frobenius
     norm. The power is carried beside a power of two (:func:`_power`), so it
     neither overflows nor loses a direction that a later factor keeps."""
-    shift = a.copy()
-    shift.flat[:: a.shape[0] + 1] -= lam
-    power, e = _power(shift, outer)
+    power, e = _power(_shift(x, lam), outer)
     norm = frob(power)
     power, f = _split(power, norm)
     return (power, e + f), np.log2(norm) + e
 
 
-def _lagrange_scalars(sp: Spectrum, rows):
+def _member_shift(real: np.ndarray, lam: complex):
+    """``B = A - Re(lam) I`` of a real A, its Frobenius norm, and the log2 of
+    ``||A - lam I||_F = sqrt(||B||_F^2 + n Im(lam)^2)``, read without overflow."""
+    b = _shift(real, lam.real)
+    norm = frob(b)
+    return b, norm, np.log2(math.hypot(norm, math.sqrt(real.shape[0]) * lam.imag))
+
+
+def _pair_factor(real: np.ndarray, lam: complex):
+    """``(A - lam I)(A - conj(lam) I) = B @ B + Im(lam)^2 I`` of a real A, as a
+    real scaled matrix, and the log2 of ``||A - lam I||_F``. B is split first,
+    so neither its square nor ``Im(lam)^2`` over- or underflows."""
+    b, norm, log_norm = _member_shift(real, lam)
+    b, f = _split(b, norm)
+    square = b @ b
+    imag = math.ldexp(lam.imag, -f)
+    square.flat[:: real.shape[0] + 1] += imag * imag
+    square, g = _split(square)
+    return (square, 2 * f + g), log_norm
+
+
+def _linear_member(real: np.ndarray, lam: complex):
+    """``A - lam I`` of a real A, one member of a conjugate pair, as a complex
+    scaled matrix, and the log2 of its norm as :func:`_pair_factor` reads it."""
+    b, _, log_norm = _member_shift(real, lam)
+    shift = b.astype(complex)
+    shift.flat[:: real.shape[0] + 1] -= 1j * lam.imag
+    return _split(shift), log_norm
+
+
+def _conjugate_pairs(sp: Spectrum) -> dict:
+    """``{i: j}``, both ways, over the 0-based positions of two exactly
+    conjugate eigenvalues whose exponents are both 1."""
+    where = {v: i for i, v in enumerate(sp.eigenvalues)}
+    pairs = {}
+    for i, v in enumerate(sp.eigenvalues):
+        j = where.get(v.conjugate())
+        if v.imag and j is not None and sp.exponents[i] == sp.exponents[j] == 1:
+            pairs[i] = j
+    return pairs
+
+
+def _lagrange_scalars(sp: Spectrum, rows, pairs: dict):
     """``(d, e, w)`` over the 0-based positions ``rows``: ``d[r] * 2**e[r]`` is
     ``prod_{i != k} (lam_k - lam_i)^(u_i)`` for ``k = rows[r]``, and ``w[r, i]``
     is ``log2 |lam_k - lam_i|^(u_i)``, infinite at i = k. Each difference is
     split into a power of two and a unit-size rest first, so neither overflows.
+    At a real ``lam_k`` each conjugate pair of ``pairs`` contributes one scalar,
+    ``|lam_k - lam_i|^2``, so d is exactly real when every other eigenvalue is
+    real or paired.
     """
     lam = np.asarray(sp.eigenvalues)
     u = np.asarray(sp.exponents)
@@ -207,9 +260,15 @@ def _lagrange_scalars(sp: Spectrum, rows):
     diff = np.where(off, lam[rows, None] - lam, 1.0)
     e = np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1]
     rest = np.ldexp(diff.real, -e) + 1j * np.ldexp(diff.imag, -e)
-    d = np.prod(np.where(off, rest ** u, 1.0), axis=1)
+    terms = np.where(off, rest ** u, 1.0)
+    lower = [i for i, j in pairs.items() if i < j]
+    if lower:
+        real_rows = np.flatnonzero(lam[rows].imag == 0)[:, None]
+        member = rest[real_rows, lower]
+        terms[real_rows, lower] = member.real ** 2 + member.imag ** 2
+        terms[real_rows, [pairs[i] for i in lower]] = 1.0
     w = np.where(off, u * (np.log2(np.abs(rest)) + e), np.inf)
-    return d, np.where(off, e * u, 0).sum(axis=1), w
+    return np.prod(terms, axis=1), np.where(off, e * u, 0).sum(axis=1), w
 
 
 def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> dict:
@@ -218,52 +277,78 @@ def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> d
     There ``Z_k0 = c_k * prod_{i != k} G_i`` with ``G_i = (A - lam_i I)^(u_i)``
     and the scalar ``c_k = prod_{i != k} (lam_k - lam_i)^(-u_i)``: the paper's
     factor ``I - (A - lam_k I)/(lam_i - lam_k)`` is ``G_i / (lam_k - lam_i)``.
-    One right-to-left pass stores the suffix ``G_{k+1} ... G_s`` of each k;
-    one left-to-right pass runs the prefix ``G_1 ... G_{k-1}`` and multiplies
+    A real A keeps real factors: a real eigenvalue gives the real ``G_i``, and
+    two exactly conjugate eigenvalues of exponent 1 give one real factor
+    ``G_i G_j`` (:func:`_pair_factor`); a wanted position in such a pair takes
+    its partner's complex ``G_j`` in place of the pair. So the projector at a
+    real eigenvalue of a real A is real, and its imaginary part exactly 0.
+    One right-to-left pass stores the suffix of the factors after each k;
+    one left-to-right pass runs the prefix of those before it and multiplies
     it onto the stored suffix, which it then drops. Every matrix is carried
     beside a power of two and rescaled, exactly, when its size leaves
     ``2**+-_SCALE_RANGE``. Once per k, the largest factor norm
     ``||G_i|| / |lam_k - lam_i|^(u_i)``, read from the factors' norms and
-    :func:`_lagrange_scalars`, is guarded, and so is the finished product of
-    two or more factors. A single position runs the same passes over its own
-    prefix and suffix only, so its result has the same bits.
+    :func:`_lagrange_scalars`, is guarded (each member of a pair by its own
+    ``||A - lam_i I||``), and so is the finished product of two or more
+    factors. A single position runs the same passes over its own prefix and
+    suffix only, so its result has the same bits.
     """
+    n = a.shape[0]
+    real = None if a.imag.any() else np.ascontiguousarray(a.real)
+    pairs = {} if real is None else _conjugate_pairs(sp)
+    groups = [(i, pairs[i]) if i in pairs else (i,) for i in range(sp.s) if pairs.get(i, sp.s) > i]
+    group_of = {i: g for g, members in enumerate(groups) for i in members}
     wanted = sorted(k - 1 for k in positions)
-    first, last = wanted[0], wanted[-1]
+    wanted_groups = {group_of[k] for k in wanted}
+    first, last = min(wanted_groups), max(wanted_groups)
     row = {k: r for r, k in enumerate(wanted)}
-    d, d_exp, w = _lagrange_scalars(sp, wanted)
+    d, d_exp, w = _lagrange_scalars(sp, wanted, pairs)
     log_norm = np.full(sp.s, -np.inf)
 
-    def factor(i):
-        g, log_norm[i] = _lagrange_factor(a, sp.eigenvalues[i], sp.exponents[i])
-        return g
+    def factor(g):
+        i = groups[g][0]
+        lam = sp.eigenvalues[i]
+        if len(groups[g]) == 2:
+            m, log_norm[list(groups[g])] = _pair_factor(real, lam)
+        elif real is not None and not lam.imag:
+            m, log_norm[i] = _lagrange_factor(real, lam.real, sp.exponents[i])
+        else:
+            m, log_norm[i] = _lagrange_factor(a, lam, sp.exponents[i])
+        return m
+
+    def partner(k):
+        m, log_norm[pairs[k]] = _linear_member(real, sp.eigenvalues[pairs[k]])
+        return m
 
     out = {}
     with np.errstate(over="ignore", divide="ignore"):
         suffixes = {}
         tail = None
-        for i in range(sp.s - 1, first - 1, -1):
-            if i in row:
-                suffixes[i] = tail
-            if i > first:
-                tail = _times(factor(i), tail)
+        for g in range(len(groups) - 1, first - 1, -1):
+            if g in wanted_groups:
+                suffixes[g] = tail
+            if g > first:
+                tail = _times(factor(g), tail)
         head = None
-        for i in range(last + 1):
-            if i in row:
-                r = row[i]
-                product = _times(head, suffixes.pop(i))
+        for g in range(last + 1):
+            for k in [k for k in groups[g] if k in row]:
+                r = row[k]
+                middle = _times(head, partner(k)) if k in pairs else head
+                product = _times(middle, suffixes[g])
                 if product is None:
-                    out[i + 1] = identity(a.shape[0])
+                    out[k + 1] = identity(n)
                     continue
                 _guard(float(np.exp2(np.max(log_norm - w[r]))), cfg, "product factor")
                 m, e = product
-                z = np.ldexp((m / d[r]).view(float), e - int(d_exp[r])).view(complex)
+                q = m / (d[r].real if m.dtype == float and not d[r].imag else d[r])
+                z = np.ldexp(q.view(float), e - int(d_exp[r])).view(q.dtype)
                 z += 0.0  # a zero entry divided by a negative d reads -0.0
                 if sp.s > 2:
                     _guard(frob(z), cfg, "product of factors")
-                out[i + 1] = z
-            if i < last:
-                head = _times(head, factor(i))
+                out[k + 1] = z.astype(complex, copy=False)
+            suffixes.pop(g, None)
+            if g < last:
+                head = _times(head, factor(g))
     return out
 
 
@@ -274,11 +359,26 @@ def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) ->
     position order. The empty product (every eigenvalue zero, i.e. a
     nilpotent matrix) is exactly I. For a nonsingular matrix ``u = ind A = 0``
     makes every factor 0, so the result is exactly zero, with no product.
+    A spectrum without 0 is taken for a matrix of full numerical rank: one
+    whose smallest singular value is above the smaller of
+    ``rank_rel_threshold`` and ``eig_cluster_radius`` times the largest (the
+    rule of :func:`~speccomp.linalg.solve`, unless the clustering resolves
+    smaller eigenvalues). A matrix without it raises
+    :class:`ConditioningError`: its zero eigenvalue was lost, as a defective 0
+    whose computed values scatter past the clustering radius is.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
     if sp.zero_position is None:
+        sv = np.linalg.svd(a, compute_uv=False)
+        if not sv[-1] > min(cfg.rank_rel_threshold, cfg.eig_cluster_radius) * sv[0]:
+            raise ConditioningError(
+                f"the spectrum has no zero eigenvalue, but the matrix is numerically singular: "
+                f"smallest singular value {sv[-1]:.3e} (largest {sv[0]:.3e}); its zero eigenvalue "
+                "likely scattered past the clustering radius — raise the radius or supply the "
+                "spectrum explicitly"
+            )
         return np.zeros_like(a)
     return component(a, sp, sp.zero_position + 1, 0, cfg)
 

@@ -1,10 +1,12 @@
 """Dense complex matrix primitives shared by the whole package.
 
 Higher-level code works on plain ``numpy.ndarray`` values of dtype
-``complex128``. This module centralizes input validation (squareness,
-finiteness), the tolerance policy, and the factorization-backed primitives
-(numerical rank, linear solve) everything else consumes. Both primitives
-judge singularity by the smallest singular value against the largest.
+``complex128``; the component kernel keeps a real matrix real inside, so the
+scaled products (:func:`_split`, :func:`_power`) take either dtype. This
+module centralizes input validation (squareness, finiteness), the tolerance
+policy, and the factorization-backed primitives (numerical rank, linear
+solve) everything else consumes. Both primitives judge singularity by the
+smallest singular value against the largest.
 """
 
 from __future__ import annotations
@@ -71,15 +73,25 @@ def identity(n: int) -> np.ndarray:
 def frob(a) -> float:
     """Frobenius norm.
 
-    The sum of squares overflows once entries pass about 1e154 and loses
-    digits to underflow once they fall below about 1e-154; only then is the
-    norm taken again of ``a`` scaled by its largest entry magnitude, whatever
-    the caller's ``errstate``. A norm of 0 costs one more pass, which tells an
+    On the common path this is numpy's own ``norm`` arithmetic (the dot of
+    the real parts with themselves plus that of the imaginary parts), read
+    through ``vdot``, which keeps no floating-point error state. The sum of
+    squares overflows once entries pass about 1e154 and loses digits to
+    underflow once they fall below about 1e-154; only then is the norm taken
+    again of ``a`` scaled by its largest entry magnitude, whatever the
+    caller's ``errstate``. A norm of 0 costs one more pass, which tells an
     exact zero matrix from one whose squares all underflow.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(a, "fro"))
-        if not 1e-150 <= norm < np.inf and np.asarray(a).any():
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    x = a.ravel(order="K")
+    if x.dtype.kind == "c":
+        norm = math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
+    else:
+        norm = math.sqrt(float(np.vdot(x, x)))
+    if not 1e-150 <= norm < math.inf and x.any():
+        with np.errstate(over="ignore", under="ignore"):
             magnitudes = np.abs(a)
             scale = float(np.max(magnitudes))
             if np.isfinite(scale):
@@ -133,26 +145,27 @@ _SCALE_RANGE = 64
 
 def _split(m: np.ndarray, norm: float | None = None):
     """``(m * 2**-e, e)``, with e the binary exponent of ``norm``, by default
-    the largest real or imaginary part of ``m``; ``(m, 0)`` while e is within
-    ``_SCALE_RANGE`` of 0. Exact: only exponents change."""
+    the largest real or imaginary part of ``m``, real or complex; ``(m, 0)``
+    while e is within ``_SCALE_RANGE`` of 0. Exact: only exponents change."""
     if norm is None:
         norm = np.abs(m.view(float)).max()
     e = math.frexp(norm)[1]
     if abs(e) <= _SCALE_RANGE:
         return m, 0
-    return np.ldexp(m.view(float), -e).view(complex), e
+    return np.ldexp(m.view(float), -e).view(m.dtype), e
 
 
 def _power(m: np.ndarray, e: int):
-    """``(p, s)`` with ``p * 2**s == m**e``; ``m**1`` is ``m`` itself. Each later
-    power is ``m``, at parts just below ``2**896``, times the one before, split
-    again: no product overflows, and each spans the floating-point range. A
-    rescale that underflows would lose a direction: a conditioning failure."""
+    """``(p, s)`` with ``p * 2**s == m**e`` for a real or complex ``m``;
+    ``m**1`` is ``m`` itself. Each later power is ``m``, at parts just below
+    ``2**896``, times the one before, split again: no product overflows, and
+    each spans the floating-point range. A rescale that underflows would lose
+    a direction: a conditioning failure."""
     if e < 2:
-        return (m if e else identity(m.shape[0])), 0
+        return (m if e else np.eye(m.shape[0], dtype=m.dtype)), 0
     top = np.abs(m.view(float)).max()
     lift = 896 - math.frexp(top)[1]
-    big = np.ldexp(m.view(float), lift).view(complex)
+    big = np.ldexp(m.view(float), lift).view(m.dtype)
     try:
         with np.errstate(under="raise"):
             p, s = _split(m, top)

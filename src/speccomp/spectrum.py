@@ -201,9 +201,15 @@ def eigenvalues_raw(a) -> np.ndarray:
     precision times the Frobenius norm; clusters of a defective eigenvalue
     scatter like eps**(1/index), which is why clustering radii are
     configurable.
+
+    A matrix whose imaginary parts are all zero is solved in real arithmetic
+    (LAPACK ``dgeev`` on its real part), so its real eigenvalues come out
+    exactly real and its complex ones in exactly conjugate pairs.
     """
     a = as_matrix(a)
     try:
+        if not a.imag.any():
+            return np.linalg.eigvals(a.real).astype(complex)
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(

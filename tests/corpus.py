@@ -140,3 +140,13 @@ def cesaro_average(p, m):
         acc += power
         power = power @ p
     return acc / m
+
+
+def lost_zero_matrix():
+    """``S J S^-1``: J a 2x2 Jordan block at 0 beside 2 and -1+1j, S a complex
+    Gaussian from ``default_rng(3)`` (condition number 20)."""
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    j = np.diag([0, 0, 2, -1 + 1j])
+    j[0, 1] = 1
+    return s @ j @ np.linalg.inv(s)

@@ -114,6 +114,27 @@ class TestDrazin:
         assert np.array_equal(a_d, np.diag([0.0, 0.0, 1 / scale]))
         assert max(drazin_residuals(a, a_d, sp.ind_a).values()) <= 1e-15
 
+    def test_nonsingular_spectrum_costs_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        a = np.diag([1.0, 2.0, 3.0])
+        sp = analyze(a)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert_allclose(drazin_inverse(a, sp), np.diag([1.0, 1 / 2, 1 / 3]), rtol=1e-15)
+        assert len(calls) == 1
+
+    def test_lost_zero_eigenvalue_is_refused(self):
+        from corpus import lost_zero_matrix
+
+        a = lost_zero_matrix()
+        with pytest.raises(SpectralError, match="numerically singular"):
+            drazin_inverse(a, analyze(a))
+
     def test_axioms_on_constructed_cases(self):
         for spec in corpus(20, master_seed=1234):
             a, _, sp = build_case(spec)

@@ -142,6 +142,18 @@ class TestFormats:
         )
 
 
+    def test_real_chain_limit_has_exact_zero_imaginary_parts(self, tmp_path, capsys):
+        from corpus import periodic_chain
+
+        doc = write_json(tmp_path / "chain.json",
+                         document_payload(periodic_chain(np.random.default_rng(4), 12, 3)))
+        code, out, _ = run(capsys, ["cesaro", "--input", doc])
+        assert code == 0
+        entries = json.loads(out)["cesaro_limit"]["entries"]
+        assert len(entries) == 144
+        assert all(im == 0.0 and str(im) == "0.0" for _, im in entries)
+
+
 class TestExitCodes:
     def test_malformed_json_is_1_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -180,6 +192,16 @@ class TestExitCodes:
         assert "1.000e+28" in err and "minimal" in err
         code, _, _ = run(capsys, argv)
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["projector", "drazin"])
+    def test_lost_zero_eigenvalue_is_3(self, tmp_path, capsys, command):
+        from corpus import lost_zero_matrix
+
+        doc = write_json(tmp_path / "lost.json", document_payload(lost_zero_matrix()))
+        code, out, err = run(capsys, [command, "--input", doc])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "numerically singular" in err
 
     def test_simple_extreme_ratio_is_exact_under_worst_case(self, tmp_path, capsys):
         # every exponent is a multiplicity, here 1, and no eigenvalue is 0, so

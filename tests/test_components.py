@@ -23,7 +23,8 @@ from speccomp import (
     spectrum_from_data,
 )
 
-from corpus import corpus, random_diagonalizable, rel_frob
+from corpus import (corpus, lost_zero_matrix, periodic_chain, random_diagonalizable, reducible_chain,
+                    rel_frob)
 
 JORDAN_225 = np.array([[2, 1, 0], [0, 2, 0], [0, 0, 5]], dtype=complex)
 
@@ -51,6 +52,15 @@ class TestEigenprojectionZero:
             sp = analyze(a)
             assert sp.u == 0
             assert np.array_equal(eigenprojection_zero(a, sp), np.zeros(a.shape))
+
+    def test_lost_zero_eigenvalue_is_refused(self):
+        # the defective 0 of S J S^-1 scatters to +-(4.5e-9 - 3.7e-8j), past the
+        # radius 2e-8, so the spectrum reads nonsingular; Z = 0 would be wrong
+        a = lost_zero_matrix()
+        sp = analyze(a)
+        assert sp.zero_position is None
+        with pytest.raises(ConditioningError, match="no zero eigenvalue.*numerically singular"):
+            eigenprojection_zero(a, sp)
 
     def test_matches_oracle_on_constructed_case(self):
         spec = JordanSpec([(0.0, [2]), (3.0, [1])], seed=11)
@@ -255,6 +265,12 @@ class TestGuardRule:
         all_components(a, sp)
         assert guard_calls == ["product factor", "product of factors"] * s
 
+    def test_real_matrix_with_pairs_guards_2s_norms(self, guard_calls):
+        a = _real_matrices()[0]
+        sp = analyze(a)
+        all_components(a, sp)
+        assert guard_calls == ["product factor", "product of factors"] * sp.s
+
     def test_nonsingular_projection_at_zero_guards_nothing(self, guard_calls):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         eigenprojection_zero(a, analyze(a))
@@ -295,6 +311,23 @@ class TestSharedSweep:
         assert sp.s == 16
         all_components(a, sp)
         assert sum(products) <= 3 * sp.s
+
+    def test_real_pairs_make_at_most_3s_products(self, monkeypatch):
+        import speccomp.components as components
+
+        products = []
+        times = components._times
+
+        def counting(x, y):
+            products.append(x is not None and y is not None)
+            return times(x, y)
+
+        monkeypatch.setattr(components, "_times", counting)
+        for a in _real_matrices():
+            products.clear()
+            sp = analyze(a)
+            all_components(a, sp)
+            assert sum(products) <= 3 * sp.s
 
     def test_all_components_holds_about_s_matrices(self):
         import tracemalloc
@@ -400,26 +433,36 @@ class TestCarriedPower:
         # Z_kj(2^t A) = 2^(j t) Z_kj(A) bit for bit, with the spectrum scaled
         # by 2^t, or the kernel refuses with a conditioning error; never a
         # different answer, and not before 2^500
-        refused = set()
-        for a, sp, _ in cases:
-            for policy in ("minimal", "worst_case"):
-                given = dict(multiplicities=sp.multiplicities, indices=sp.indices, exponents=policy)
-                cs = all_components(a, spectrum_from_data(sp.eigenvalues, **given))
-                for t in (0, 1, 64, 200, 500, 700, 800, 1000):
-                    scaled = np.ldexp(a.view(float), t).view(complex)
-                    assert np.all(np.isfinite(scaled))
-                    values = [np.ldexp(v.real, t) + 1j * np.ldexp(v.imag, t) for v in sp.eigenvalues]
-                    try:
-                        got = all_components(scaled, spectrum_from_data(values, **given))
-                    except ConditioningError:
-                        refused.add(t)
-                        continue
-                    assert got.keys() == cs.keys()
-                    for (k, j), part in cs.parts.items():
-                        with np.errstate(over="ignore"):
-                            want = np.ldexp(part.view(float), j * t).view(complex)
-                        assert np.array_equal(got.parts[(k, j)], want), (policy, t, k, j)
-        assert min(refused, default=np.inf) > 500
+        assert min(_scaled_refusals(cases), default=np.inf) > 500
+
+    def test_powers_of_two_scale_real_components_exactly(self, real_cases):
+        # the same on real matrices, through the real factors and pairs
+        assert min(_scaled_refusals(real_cases), default=np.inf) > 500
+
+
+def _scaled_refusals(cases):
+    """The powers of two t at which :func:`all_components` refuses ``2^t A``,
+    asserting that every other t scales each order-j part by ``2^(j t)``."""
+    refused = set()
+    for a, sp, _ in cases:
+        for policy in ("minimal", "worst_case"):
+            given = dict(multiplicities=sp.multiplicities, indices=sp.indices, exponents=policy)
+            cs = all_components(a, spectrum_from_data(sp.eigenvalues, **given))
+            for t in (0, 1, 64, 200, 500, 700, 800, 1000):
+                scaled = np.ldexp(a.view(float), t).view(complex)
+                assert np.all(np.isfinite(scaled))
+                values = [np.ldexp(v.real, t) + 1j * np.ldexp(v.imag, t) for v in sp.eigenvalues]
+                try:
+                    got = all_components(scaled, spectrum_from_data(values, **given))
+                except ConditioningError:
+                    refused.add(t)
+                    continue
+                assert got.keys() == cs.keys()
+                for (k, j), part in cs.parts.items():
+                    with np.errstate(over="ignore"):
+                        want = np.ldexp(part.view(float), j * t).view(complex)
+                    assert np.array_equal(got.parts[(k, j)], want), (policy, t, k, j)
+    return refused
 
 
 class TestHighOrders:
@@ -441,6 +484,25 @@ def cases():
     out = []
     for spec in corpus(30, master_seed=24601):
         a, truth, sp = build_case(spec)
+        out.append((a, sp, all_components(a, sp)))
+    return out
+
+
+def _real_matrices():
+    """A real Gaussian n=12 with four conjugate pairs, a 3-periodic chain with
+    pairs, and a reducible chain whose eigenvalue 1 is double."""
+    return [
+        np.random.default_rng(3).normal(size=(12, 12)).astype(complex),
+        periodic_chain(np.random.default_rng(4), 12, 3),
+        reducible_chain(np.random.default_rng(5), [4, 3], 3),
+    ]
+
+
+@pytest.fixture(scope="module")
+def real_cases():
+    out = []
+    for a in _real_matrices():
+        sp = analyze(a)
         out.append((a, sp, all_components(a, sp)))
     return out
 
@@ -513,6 +575,11 @@ class TestOneKernel:
             for k, j in cs.keys():
                 assert np.array_equal(component(a, sp, k, j), cs.part(k, j)), (k, j, sp)
 
+    def test_component_is_the_same_part_on_real_matrices(self, real_cases):
+        for a, sp, cs in real_cases:
+            for k, j in cs.keys():
+                assert np.array_equal(component(a, sp, k, j), cs.part(k, j)), (k, j, sp)
+
     def test_projection_at_zero_is_the_zero_component(self, cases):
         seen = 0
         for a, sp, _ in cases:
@@ -547,3 +614,60 @@ class TestOneKernel:
         residuals = ComponentSet(source=a, spectrum=sp, parts=parts).residuals()
         assert np.isnan(residuals["idempotency"])
         assert np.isnan(residuals["commutation"])
+
+
+class TestRealArithmetic:
+    """A real matrix keeps real factors: each real eigenvalue's, and one per
+    pair of exactly conjugate eigenvalues."""
+
+    def test_conjugate_eigenvalues_give_conjugate_projectors(self, real_cases):
+        pairs = 0
+        for a, sp, cs in real_cases:
+            for k, lam in enumerate(sp.eigenvalues, 1):
+                if lam.imag:
+                    pairs += 1
+                    z = cs.projector(sp.position_of(lam.conjugate()))
+                    assert np.abs(z - cs.projector(k).conj()).max() <= 1e-14
+        assert pairs >= 8
+
+    def test_projector_at_a_real_eigenvalue_is_exactly_real(self, real_cases):
+        for a, sp, cs in real_cases:
+            for k, lam in enumerate(sp.eigenvalues, 1):
+                if not lam.imag:
+                    z = cs.projector(k)
+                    assert z.dtype == complex
+                    assert not z.imag.any() and not np.signbit(z.imag).any(), (k, lam)
+
+    def test_real_eigenvalue_projector_multiplies_only_real_matrices(self, monkeypatch):
+        import speccomp.components as components
+
+        kinds = set()
+        times = components._times
+
+        def recording(x, y):
+            kinds.update(m[0].dtype for m in (x, y) if m is not None)
+            return times(x, y)
+
+        monkeypatch.setattr(components, "_times", recording)
+        for a in _real_matrices():
+            sp = analyze(a)
+            component(a, sp, sp.position_of(sp.eigenvalues[0]), 0)
+            assert not sp.eigenvalues[0].imag
+        assert kinds == {np.dtype(float)}
+
+    def test_complex_matrix_with_a_conjugate_pair_does_not_pair(self, monkeypatch):
+        import speccomp.components as components
+
+        def refuse(*args):
+            raise AssertionError("a complex matrix formed a pair factor")
+
+        monkeypatch.setattr(components, "_pair_factor", refuse)
+        monkeypatch.setattr(components, "_linear_member", refuse)
+        rng = np.random.default_rng(6)
+        s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a = s @ np.diag([1 + 1j, 1 - 1j, 2]) @ np.linalg.inv(s)
+        sp = spectrum_from_data([1 + 1j, 1 - 1j, 2], [1, 1, 1], [1, 1, 1])
+        cs = all_components(a, sp)
+        ns = components_by_nullspace(a, sp)
+        for key in cs.keys():
+            assert rel_frob(cs.parts[key], ns.parts[key]) <= 1e-12

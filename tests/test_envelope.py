@@ -4,7 +4,9 @@ The worst residual of ``all_components(...).residuals()`` over seeds 0-4
 pins the size up to which a class stays within the default ``verify_tol``.
 Generic complex Gaussian spectra hold at n=16 and fail at n=48, where the
 CLI must refuse the result (exit 4); normal matrices with eigenvalues on
-the unit circle hold at n=32. The constructed Jordan cases are gated at
+the unit circle hold at n=32. The limits (``cesaro_residuals``) of real
+positive, periodic and reducible chains hold at n=64, and are exactly
+real. The constructed Jordan cases are gated at
 n <= 8 by the release gate. The projector at 0 and the Drazin inverse of a
 nonsingular matrix hold at every n: the projector is exactly 0 and the
 Drazin inverse is the plain inverse.
@@ -19,6 +21,8 @@ from speccomp import (
     DEFAULT_TOLERANCES,
     all_components,
     analyze,
+    cesaro_limit,
+    cesaro_residuals,
     drazin_inverse,
     drazin_residuals,
     eigenprojection_residuals,
@@ -26,6 +30,8 @@ from speccomp import (
 )
 from speccomp.cli import main
 from speccomp.documents import document_payload
+
+from corpus import periodic_chain, random_stochastic, reducible_chain
 
 SEEDS = range(5)
 
@@ -50,6 +56,19 @@ def worst_residual(a):
 def test_inside_the_envelope_every_seed_verifies(family, n):
     worst = max(worst_residual(family(seed, n)) for seed in SEEDS)
     assert worst <= DEFAULT_TOLERANCES.verify_tol
+
+
+@pytest.mark.parametrize("chain", [
+    lambda rng: random_stochastic(rng, 64),
+    lambda rng: periodic_chain(rng, 64, 4),
+    lambda rng: reducible_chain(rng, [24, 24], 16),
+], ids=["positive", "periodic", "reducible"])
+def test_real_chain_n64_limit_is_inside_the_envelope(chain):
+    for seed in SEEDS:
+        p = chain(np.random.default_rng(seed))
+        limit = cesaro_limit(p)
+        assert not limit.imag.any()
+        assert max(cesaro_residuals(p, limit).values()) <= DEFAULT_TOLERANCES.verify_tol
 
 
 def test_generic_n64_projector_is_inside_the_envelope():

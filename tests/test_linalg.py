@@ -183,6 +183,18 @@ class TestFrob:
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         assert frob(a) == float(np.linalg.norm(a, "fro"))
 
+    def test_same_bits_as_numpy_norm(self):
+        # real and complex, C and Fortran order, n = 1..64, scales 1e-100..1e100
+        rng = np.random.default_rng(2000)
+        for t in range(2000):
+            n = int(rng.integers(1, 65))
+            a = 10.0 ** rng.uniform(-100, 100) * rng.normal(size=(n, n))
+            if t % 2:
+                a = a + 1j * 10.0 ** rng.uniform(-100, 100) * rng.normal(size=(n, n))
+            if t % 3 == 0:
+                a = np.asfortranarray(a)
+            assert frob(a) == float(np.linalg.norm(a, "fro")), (t, n)
+
     def test_huge_finite_entries_do_not_overflow(self):
         with np.errstate(over="ignore"):
             assert frob(1e200 * np.ones((2, 2))) == pytest.approx(2e200, rel=1e-15)

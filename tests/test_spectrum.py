@@ -21,7 +21,7 @@ from speccomp import (
 from speccomp.linalg import rank_numeric
 from speccomp.spectrum import cluster_spectrum, eigen_index, eigenvalues_raw, replace_eigenvalue
 
-from corpus import corpus, random_spec, random_stochastic
+from corpus import corpus, periodic_chain, random_spec, random_stochastic
 
 # Wide-radius config for matrices with defective eigenvalues computed
 # numerically: their eigenvalue approximations scatter like eps**(1/index),
@@ -42,6 +42,20 @@ class TestEigenvaluesRaw:
     def test_rotation_has_conjugate_pair(self):
         vals = eigenvalues_raw(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert_allclose(sorted(vals, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
+
+    def test_real_matrix_gives_exact_reals_and_exact_conjugate_pairs(self):
+        for a in (
+            np.random.default_rng(3).normal(size=(12, 12)).astype(complex),
+            periodic_chain(np.random.default_rng(4), 12, 3),
+        ):
+            vals = eigenvalues_raw(a)
+            assert vals.dtype == complex
+            assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
+            # the clustering keeps each simple cluster an exact pair
+            sp = analyze(a)
+            assert sp.multiplicities == (1,) * 12
+            assert set(sp.eigenvalues) == {v.conjugate() for v in sp.eigenvalues}
+            assert sum(1 for v in sp.eigenvalues if v.imag) >= 4
 
     def test_convergence_error_message_is_bounded(self, monkeypatch):
         def no_convergence(a):
