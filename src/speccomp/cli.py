@@ -32,7 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="matrix document (JSON, or CSV by .csv suffix)")
     common.add_argument("--tol-eig", type=float, default=DEFAULT_TOLERANCES.eig_cluster_radius, metavar="R",
-                        help="relative eigenvalue clustering radius (default %(default)s)")
+                        help="relative eigenvalue clustering radius; values chained within twice it "
+                             "count as one eigenvalue (default %(default)s)")
     common.add_argument("--tol-rank", type=float, default=DEFAULT_TOLERANCES.rank_rel_threshold, metavar="R",
                         help="relative rank threshold (default %(default)s)")
     common.add_argument("--verify-tol", type=float, default=DEFAULT_TOLERANCES.verify_tol, metavar="R",

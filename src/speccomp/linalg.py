@@ -27,7 +27,8 @@ class ToleranceConfig:
 
     ``eig_cluster_radius`` is relative: clustering scales it by
     ``max(1, largest |eigenvalue|)`` before use, so the default behaves the
-    same for small and large matrices. ``rank_rel_threshold`` is relative to
+    same for small and large matrices, and counts computed values chained
+    within twice it as one eigenvalue. ``rank_rel_threshold`` is relative to
     the largest singular value; a solve needs the smallest singular value
     above it. ``verify_tol`` bounds the residuals accepted by self-checks
     and by the CLI's verification step.

@@ -1,11 +1,11 @@
 """Spectral structure of a matrix: distinct eigenvalues, multiplicities,
 indices, and the exponents that drive the component product formulas.
 
-Eigenvalues are kept in a deterministic order (descending magnitude, ties
-by ascending argument) so that positions are stable across runs. Clusters
-whose centroid lies within the clustering radius of zero snap to exactly 0:
-the projector formulas branch on zero-versus-nonzero, so that distinction
-must be crisp.
+Computed values chained within twice the clustering radius are one
+eigenvalue; a centroid within the radius of zero snaps to exactly 0, since
+the projector formulas branch on zero-versus-nonzero. Eigenvalues are kept
+in a deterministic order (descending magnitude, ties by ascending argument)
+so that positions are stable across runs.
 """
 
 from __future__ import annotations
@@ -220,17 +220,17 @@ def eigenvalues_raw(a) -> np.ndarray:
 
 
 def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
-    """Greedy agglomerative clustering of approximate eigenvalues.
+    """Single-linkage clustering of approximate eigenvalues.
 
-    Values are swept in canonical order; each joins the first existing
-    cluster whose multiplicity-weighted centroid lies within the effective
-    radius, else starts a new cluster. Centroids within the radius of zero
-    snap to exactly 0. Returns ``(distinct_values, multiplicities)`` in
-    canonical order.
+    Values joined by a chain of steps within twice the effective radius form
+    one eigenvalue, the plain mean of its members, whatever the input order.
+    Centroids within the radius of zero snap to exactly 0. Returns
+    ``(distinct_values, multiplicities)`` in canonical order.
 
-    Raises :class:`ClusteringError` when two final centroids end up closer
-    than twice the radius — the clustering is then ambiguous and a
-    different radius (or a user-supplied spectrum) is needed.
+    Raises :class:`ClusteringError` when two final centroids still lie closer
+    than twice the radius (a ring of values around a centre value, say) —
+    the clustering is then ambiguous and a different radius (or a
+    user-supplied spectrum) is needed.
     """
     vals = np.asarray(values, dtype=complex).ravel()
     if vals.size == 0:
@@ -238,20 +238,17 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
     cfg = cfg or DEFAULT_TOLERANCES
     radius = effective_cluster_radius(vals, cfg)
 
-    centroids: list[complex] = []
-    counts: list[int] = []
-    for v in vals[canonical_order(vals)]:
-        for idx, c in enumerate(centroids):
-            if abs(v - c) <= radius:
-                counts[idx] += 1
-                centroids[idx] = c + (v - c) / counts[idx]
-                break
-        else:
-            centroids.append(complex(v))
-            counts.append(1)
-
-    cents = np.array(centroids, dtype=complex)
-    counts = np.array(counts, dtype=int)
+    # min-label propagation: each value ends labelled by the smallest index
+    # of its linked component
+    close = np.abs(vals[:, None] - vals) <= 2.0 * radius
+    labels = np.arange(vals.size)
+    while not np.array_equal(linked := np.where(close, labels, labels[:, None]).min(axis=1), labels):
+        labels = linked
+    ids = np.cumsum(labels == np.arange(vals.size))[labels] - 1
+    counts = np.bincount(ids)
+    # each part divided on its own: numpy's complex division by a count
+    # multiplies by its reciprocal, which is not the rounded mean
+    cents = np.bincount(ids, vals.real) / counts + 1j * (np.bincount(ids, vals.imag) / counts)
     zero = np.flatnonzero(np.abs(cents) <= radius)
     if zero.size:
         # every cluster that snaps to 0 is part of the one eigenvalue 0

@@ -243,6 +243,41 @@ class TestCesaroCloseSimpleEigenvalues:
         assert max(report["residuals"].values()) <= report["tolerances"]["verify_tol"]
 
 
+def _sparse_chain(seed):
+    """A random sparse chain: 3 to 12 states, each entry nonzero with a
+    probability drawn from 0.1-0.5 and weighted 1-3, a zero row given one
+    random entry, rows normalised."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(3, 13)
+    p = rng.uniform(0.1, 0.5)
+    m = (rng.random((n, n)) < p) * rng.integers(1, 4, (n, n))
+    for i in range(n):
+        if not m[i].any():
+            m[i, rng.integers(n)] = 1
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def _limit_by_svd(p):
+    """Eigenvalue-1 projector of a chain from the SVD null spaces of P - I,
+    with no eigenvalue clustering: eigenvalue 1 of a chain has index 1."""
+    u, sv, vh = np.linalg.svd(p - np.eye(len(p)))
+    k = int(np.sum(sv <= 1e-8 * sv[0]))
+    right, left = vh[-k:].conj().T, u[:, -k:].conj().T
+    return right @ np.linalg.solve(left @ right, left)
+
+
+@pytest.mark.parametrize("seed", [1465, 1954, 2483, 2639])
+def test_cesaro_links_a_scattered_defective_eigenvalue(seed):
+    # a repeated eigenvalue (0 or -0.5) whose computed values lie between
+    # one and two clustering radii apart: linkage at twice the radius keeps
+    # it one eigenvalue
+    p = _sparse_chain(seed)
+    cfg = ToleranceConfig()
+    limit = cesaro_limit(p, cfg)
+    assert max(cesaro_residuals(p, limit).values()) <= cfg.verify_tol
+    assert np.max(np.abs(limit - _limit_by_svd(p))) <= 1e-12
+
+
 @st.composite
 def stochastic_chains(draw):
     """Positive, periodic or reducible row-stochastic chains with 3 to 12 states."""

@@ -51,7 +51,7 @@ class TestEigenvaluesRaw:
             vals = eigenvalues_raw(a)
             assert vals.dtype == complex
             assert np.array_equal(np.sort_complex(vals), np.sort_complex(vals.conj()))
-            # the clustering keeps each simple cluster an exact pair
+            # linkage is symmetric under conjugation: simple clusters stay exact pairs
             sp = analyze(a)
             assert sp.multiplicities == (1,) * 12
             assert set(sp.eigenvalues) == {v.conjugate() for v in sp.eigenvalues}
@@ -98,25 +98,67 @@ class TestClustering:
         with pytest.raises(PreconditionError):
             cluster_spectrum([])
 
-    def test_ambiguous_clustering_raises(self):
-        # gap of 1.5 radii: too far to merge, too close to certify distinct
+    def test_gap_within_twice_the_radius_merges(self):
+        # gap of 1.5 radii: within the separation distance, so one eigenvalue
         cfg = ToleranceConfig(eig_cluster_radius=1e-6)
-        with pytest.raises(ClusteringError):
-            cluster_spectrum([1.0, 1.0 + 1.5e-6], cfg)
+        values, mults = cluster_spectrum([1.0, 1.0 + 1.5e-6], cfg)
+        assert_allclose(values, [1.0 + 0.75e-6], rtol=1e-15)
+        assert list(mults) == [2]
+
+    def test_permutation_moves_centroids_only_by_rounding(self):
+        # five scattered clusters plus a chain of steps of 1.5 radii (radius
+        # 3e-8), which links only at twice the radius
+        rng = np.random.default_rng(5)
+        centres = np.repeat([3.0, 2 + 1j, 2 - 1j, -1.0, 0.5j], [1, 2, 2, 3, 4])
+        scatter = 1e-8 * (rng.uniform(-1, 1, centres.size) + 1j * rng.uniform(-1, 1, centres.size))
+        values = np.concatenate([centres + scatter, 1.5 + 4.5e-8 * np.arange(4)])
+        expected_values, expected_mults = cluster_spectrum(values)
+        assert list(expected_mults) == [1, 2, 2, 4, 3, 4]
+        for _ in range(20):
+            got_values, got_mults = cluster_spectrum(rng.permutation(values))
+            assert np.array_equal(got_mults, expected_mults)
+            assert_allclose(got_values, expected_values, rtol=4 * np.finfo(float).eps)
+
+    def test_real_matrix_gives_exactly_conjugate_clusters(self):
+        s = np.random.default_rng(2).normal(size=(5, 5))
+        values, mults = cluster_spectrum(eigenvalues_raw(
+            s @ np.diag([2.0, 2.0, -1.0, 3.0, 3.0]) @ np.linalg.inv(s)))
+        assert_allclose(values, [3, 2, -1], rtol=1e-12)
+        assert values.imag.tolist() == [0.0, 0.0, 0.0]
+        assert list(mults) == [2, 2, 1]
+        # a double pair 1 +- 2i and a Jordan block at 2, whose computed
+        # values may be a conjugate pair (here 2 +- 1.7e-8i)
+        t = np.zeros((7, 7))
+        t[:2, :2] = t[2:4, 2:4] = [[1, 2], [-2, 1]]
+        t[4:6, 4:6] = [[2, 1], [0, 2]]
+        t[6, 6] = -1
+        s = np.random.default_rng(0).normal(size=(7, 7))
+        raw = eigenvalues_raw(s @ t @ np.linalg.inv(s))
+        assert np.count_nonzero(raw.imag) >= 4
+        values, mults = cluster_spectrum(raw, WIDE)
+        assert list(mults) == [2, 2, 2, 1]
+        assert values[0] == values[1].conjugate() and values[0].imag < 0
+        assert values[2:].imag.tolist() == [0.0, 0.0]
 
     def test_first_close_pair_in_row_major_order(self):
+        # 12 values on a circle of 3 radii around a 13th at its centre:
+        # the circle links into one cluster (chords of 1.55 radii), the
+        # centre stays apart, and both centroids are 0.5 up to rounding
+        ring = [3, 2.6 + 1.5j, 1.5 + 2.6j, 3j, -1.5 + 2.6j, -2.6 + 1.5j,
+                -3, -2.6 - 1.5j, -1.5 - 2.6j, -3j, 1.5 - 2.6j, 2.6 - 1.5j]
+        with pytest.raises(ClusteringError) as excinfo:
+            cluster_spectrum([0.5] + [0.5 + 1e-8 * z for z in ring])
+        assert str(excinfo.value) == (
+            f"ambiguous clustering: centroids {np.complex128(0.5)} and "
+            f"{np.complex128(0.5000000000000001 + 5.514537417020184e-25j)} are closer than twice "
+            "the clustering radius; adjust the radius or supply the spectrum explicitly"
+        )
         # canonical order 3, 2.999999995i, 2.99999996i, 2.99999995; with
-        # radius 3e-8 no value merges, and both (0, 3) and (1, 2) lie within
-        # twice the radius: the report names (0, 3)
+        # radius 3e-8 both (0, 3) and (1, 2) lie within twice the radius:
+        # the report names (0, 3)
         values = [3.0, 2.99999995, 2.99999996j, 2.999999995j]
         pair = (f"{np.complex128(3.0)} and {np.complex128(2.99999995)} are closer than twice "
                 "the clustering radius; ")
-        with pytest.raises(ClusteringError) as excinfo:
-            cluster_spectrum(values)
-        assert str(excinfo.value) == (
-            f"ambiguous clustering: centroids {pair}adjust the radius or supply the spectrum "
-            "explicitly"
-        )
         with pytest.raises(ClusteringError) as excinfo:
             spectrum_from_data(values, [1] * 4, [1] * 4)
         assert str(excinfo.value) == (
