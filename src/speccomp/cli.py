@@ -20,7 +20,7 @@ import numpy as np
 
 from .applications import cesaro_limit, cesaro_residuals, drazin_inverse, drazin_residuals
 from .components import _worst, all_components, eigenprojection_residuals, eigenprojection_zero
-from .documents import csv_render, json_text, load_document, matrix_block
+from .documents import csv_render, load_document, matrix_block, write_json
 from .exceptions import ConditioningError, InputFormatError, PreconditionError
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
 from .spectrum import Spectrum, analyze, spectrum_from_data
@@ -139,7 +139,7 @@ def _run(args) -> int:
         payload["against"] = args.against
         payload["max_abs_deviation"] = deviation
         payload["passed"] = deviation <= cfg.verify_tol
-        sys.stdout.write(json_text(payload))
+        write_json(payload, sys.stdout)
         if not payload["passed"]:
             print(f"deviation {deviation:.3e} exceeds verify_tol {cfg.verify_tol:.3e}",
                   file=sys.stderr)
@@ -169,7 +169,8 @@ def _run(args) -> int:
         named = [("projector", z)]
     elif args.command == "components":
         cs = all_components(matrix, sp, cfg)
-        payload["components"] = [
+        # built one part at a time as it is written, so only one part's lists exist
+        payload["components"] = (
             {
                 "k": k,
                 "j": j,
@@ -180,7 +181,7 @@ def _run(args) -> int:
                 "matrix": matrix_block(cs.parts[(k, j)]),
             }
             for (k, j) in cs.keys()
-        ]
+        )
         residuals = cs.residuals()
         named = [(f"Z_{k}_{j}", cs.parts[(k, j)]) for (k, j) in cs.keys()]
     elif args.command == "drazin":
@@ -194,15 +195,18 @@ def _run(args) -> int:
         residuals = cesaro_residuals(matrix, limit)
         named = [("cesaro_limit", limit)]
 
+    # every result and residual is computed before the first byte is written,
+    # so a failure leaves stdout empty
     payload["residuals"] = residuals
+    worst = _worst(residuals.values())
     if args.format == "csv":
-        sys.stdout.write(csv_render(named))
+        for item in named:
+            sys.stdout.write(csv_render([item]))
         for name in sorted(residuals):
             print(f"residual {name} {residuals[name]:.6e}", file=sys.stderr)
     else:
-        sys.stdout.write(json_text(payload))
+        write_json(payload, sys.stdout)
 
-    worst = _worst(residuals.values())
     if not worst <= cfg.verify_tol:
         print(f"residual {worst:.3e} exceeds verify_tol {cfg.verify_tol:.3e}", file=sys.stderr)
         return 4

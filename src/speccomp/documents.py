@@ -12,13 +12,18 @@ numbers are always explicit [re, im] pairs — no "a+bi" string parsing.
 
 Everything emitted is deterministic: fixed key order and shortest
 round-trip float repr, so identical runs produce identical bytes and every
-emitted matrix re-parses to bit-identical values.
+emitted matrix re-parses to bit-identical values. A report is written as it
+is encoded, one top-level value (or one element of an iterator-valued one)
+at a time, in the same bytes as ``json.dumps`` of the whole report, so a
+report of many matrices never exists in memory at once.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,7 @@ __all__ = [
     "matrix_block",
     "matrix_from_block",
     "csv_render",
-    "json_text",
+    "write_json",
 ]
 
 
@@ -69,6 +74,24 @@ def _pair(value, where: str):
     return z
 
 
+def _entries(entries: list, n: int) -> np.ndarray:
+    """The n-by-n complex matrix of ``n * n`` [re, im] entries.
+
+    Entries that are all pairs of finite floats and ints are read in one
+    numpy pass; anything else goes through :func:`_pair`, entry by entry,
+    which gives the same bits and is the only source of error messages.
+    """
+    try:
+        if set(map(type, chain.from_iterable(entries))) <= {float, int}:
+            values = np.array(entries, dtype=float)
+            if values.shape == (n * n, 2) and np.isfinite(values).all():
+                return values.view(complex).reshape(n, n)
+    except (TypeError, ValueError, OverflowError):  # a non-list entry, a ragged one, a huge int
+        pass
+    flat = [_pair(e, f"entries[{i}]") for i, e in enumerate(entries)]
+    return np.array(flat, dtype=complex).reshape(n, n)
+
+
 def _parse_json(text: str):
     try:
         doc = json.loads(text)
@@ -89,8 +112,7 @@ def _parse_json(text: str):
     if not isinstance(entries, list) or len(entries) != n * n:
         count = len(entries) if isinstance(entries, list) else "missing"
         raise InputFormatError(f"'entries' must list n*n = {_shown(n * n)} pairs, got {count}")
-    flat = [_pair(e, f"entries[{i}]") for i, e in enumerate(entries)]
-    matrix = np.array(flat, dtype=complex).reshape(n, n)
+    matrix = _entries(entries, n)
 
     spectrum = doc.get("spectrum")
     records = None
@@ -214,6 +236,21 @@ def csv_render(named_matrices) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_text(obj) -> str:
-    """``obj`` as one line of JSON and a newline: the report format."""
-    return json.dumps(obj) + "\n"
+def write_json(obj: dict, out) -> None:
+    """Write ``json.dumps(obj) + "\\n"``, the report format, to the text stream ``out``.
+
+    Each top-level value is encoded and written on its own, and one that is
+    an iterator is written as a JSON array, one ``json.dumps`` per element,
+    so only one element need exist at a time. Keys are strings.
+    """
+    out.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        out.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, Iterator):
+            out.write("[")
+            for j, item in enumerate(value):
+                out.write(f"{', ' if j else ''}{json.dumps(item)}")
+            out.write("]")
+        else:
+            out.write(json.dumps(value))
+    out.write("}\n")

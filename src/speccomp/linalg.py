@@ -200,11 +200,12 @@ def rank_numeric(a, cfg: ToleranceConfig | None = None) -> int:
     """Numerical rank: singular values above ``rank_rel_threshold`` times the largest.
 
     The threshold is relative, so the rank is scale-free; an exactly zero
-    matrix has rank 0, but a matrix of tiny nonzero noise does not.
+    matrix has rank 0, but a matrix of tiny nonzero noise does not. A matrix
+    whose imaginary parts are all zero gets a real SVD.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
-    sv = np.linalg.svd(a, compute_uv=False)
+    sv = np.linalg.svd(a if a.imag.any() else a.real, compute_uv=False)
     if sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > cfg.rank_rel_threshold * sv[0]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ClusteringError, ConvergenceError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, rank_numeric
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, rank_numeric
 
 __all__ = ["Spectrum", "analyze", "spectrum_from_data"]
 
@@ -271,12 +271,15 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
     Returns 0 iff ``lam`` is not an eigenvalue; never exceeds n (the rank
     sequence plateaus by then). The shifted matrix is renormalized before
     each powering step — rank is scale-invariant — so high powers cannot
-    over- or underflow.
+    over- or underflow. A real ``a`` and ``lam`` keep the powers real.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     n = a.shape[0]
-    b = a - complex(lam) * identity(n)
+    lam = complex(lam)
+    if not a.imag.any() and not lam.imag:
+        a, lam = a.real, lam.real
+    b = a - lam * np.eye(n, dtype=a.dtype)
     norm = frob(b)
     if norm <= cfg.rank_rel_threshold * max(1.0, frob(a)):
         return 1  # a is lam * I up to noise

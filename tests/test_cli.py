@@ -1,6 +1,10 @@
-"""Command line contract: formats, exit codes, determinism, round trips."""
+"""Command line contract: formats, exit codes, determinism, round trips, and a
+report written one matrix at a time after everything is computed."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +14,9 @@ from numpy.testing import assert_allclose
 import speccomp.cli
 from speccomp import JordanSpec, build_case, case_document
 from speccomp.cli import build_parser, main
+from speccomp.components import ComponentSet
 from speccomp.documents import document_payload, load_document, matrix_from_block
+from speccomp.exceptions import ConditioningError
 from speccomp.linalg import DEFAULT_TOLERANCES
 
 DIAG02 = {"n": 2, "entries": [[0, 0], [0, 0], [0, 0], [2, 0]]}
@@ -83,6 +89,62 @@ class TestComponentsCommand:
         # and the input document itself round-trips exactly
         reloaded, _ = load_document(doc)
         assert np.array_equal(reloaded, m)
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "projector", "components", "drazin", "cesaro", "verify"]
+    )
+    def test_report_is_the_bytes_of_json_dumps(self, tmp_path, capsys, command):
+        from corpus import periodic_chain, random_spec
+
+        if command == "cesaro":
+            doc = write_json(tmp_path / "chain.json",
+                             document_payload(periodic_chain(np.random.default_rng(4), 12, 3)))
+            argv = [command, "--input", doc]
+        else:
+            spec = random_spec(np.random.default_rng(11), include_zero=True)
+            doc = write_json(tmp_path / "case.json", case_document(spec))
+            argv = [command, "--input", doc, "--use-given-spectrum"]
+        if command == "verify":
+            argv += ["--against", doc]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert json.dumps(json.loads(out)) + "\n" == out
+
+    def test_components_report_is_written_one_matrix_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        doc = write_json(tmp_path / "g64.json", document_payload(m))
+        report = tmp_path / "report.json"
+
+        def traced_main():
+            with open(report, "w", encoding="utf-8") as out, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    code = main(["components", "--input", doc])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            return code, peak
+
+        traced_main()  # warm-up: lazy imports and caches
+        code, peak = traced_main()
+        assert code in (0, 4)
+        assert len(json.loads(report.read_text(encoding="utf-8"))["components"]) == 64
+        # the whole report is 12 MB, and its Python lists about 31 MB
+        assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failing_residuals_leave_stdout_empty(self, tmp_path, capsys, monkeypatch, fmt):
+        def residuals(self):
+            raise ConditioningError("residual overflowed")
+
+        monkeypatch.setattr(ComponentSet, "residuals", residuals)
+        doc = write_json(tmp_path / "jordan225.json", JORDAN225)
+        code, out, err = run(capsys, ["components", "--input", doc, "--format", fmt])
+        assert (code, out, err) == (3, "", "error: residual overflowed\n")
 
 
 class TestSpectrumCommand:

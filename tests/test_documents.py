@@ -1,5 +1,6 @@
-"""Documents: one-line JSON reports that re-parse exactly, matrix blocks and CSV, and
-malformed input refused with one short error line."""
+"""Documents: one-line JSON reports that re-parse exactly, written in the bytes of
+``json.dumps``, matrix blocks and CSV, entries read in one pass with the per-entry bits,
+and malformed input refused with one short error line."""
 
 import contextlib
 import io
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 
 from speccomp import all_components, analyze
 from speccomp.cli import main
-from speccomp.documents import csv_render, document_payload, json_text, matrix_block, matrix_from_block
+from speccomp.documents import (
+    _entries,
+    _pair,
+    csv_render,
+    document_payload,
+    matrix_block,
+    matrix_from_block,
+    write_json,
+)
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-300, 0.1, -2.5, float("nan"),
                float("inf"), float("-inf")]
@@ -50,12 +59,54 @@ def _same(got, want) -> bool:
     return got == want
 
 
+def _written(obj) -> str:
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
-@given(payloads)
-def test_report_is_one_line_that_reparses_to_the_payload(payload):
-    text = json_text(payload)
-    assert text.count("\n") == 1 and text.endswith("\n")
-    assert _same(json.loads(text), payload)
+@given(st.dictionaries(text, payloads, max_size=4), payloads, st.lists(payloads, max_size=4))
+def test_report_is_one_line_that_reparses_to_the_payload(head, payload, items):
+    # an iterator-valued key is written as the array of its elements
+    want = {**head, "value": payload, "items": items}
+    out = _written({**want, "items": iter(items)})
+    assert out == json.dumps(want) + "\n"
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert _same(json.loads(out), want)
+
+
+def test_empty_report_is_written_as_json_dumps():
+    assert _written({}) == json.dumps({}) + "\n"
+
+
+names = st.text(alphabet=string.ascii_letters + string.digits + "_", max_size=6)
+float_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(finite_floats, min_size=2 * n, max_size=2 * n), min_size=1, max_size=4)
+).map(lambda rows: np.array(rows, dtype=float).view(complex))
+named_matrices = st.lists(st.tuples(names, float_matrices), min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_matrices, named_matrices)
+def test_csv_of_blocks_written_apart_is_the_csv_written_at_once(a, b):
+    assert csv_render(a + b) == csv_render(a) + csv_render(b)
+
+
+# ints inside the float range, where numpy and float() must round alike
+entry_numbers = st.one_of(finite_floats, st.integers(-(2**64), 2**64), st.integers(-(2**1000), 2**1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(entry_numbers, min_size=2, max_size=2),
+                                             min_size=n * n, max_size=n * n))))
+def test_entries_read_in_one_pass_have_the_per_entry_bits(case):
+    n, entries = case
+    got = _entries(entries, n)
+    want = np.array([_pair(e, "") for e in entries], dtype=complex).reshape(n, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_components_report_is_one_line_of_bit_exact_matrices(tmp_path, capsys):

@@ -107,6 +107,12 @@ class TestRank:
     def test_proportional_rows(self):
         assert rank_numeric(np.array([[1, 2], [2, 4]], dtype=complex)) == 1
 
+    def test_real_matrix_has_the_rank_of_its_complex_multiple(self):
+        rng = np.random.default_rng(29)
+        for r in range(1, 6):
+            a = rng.normal(size=(5, r)) @ rng.normal(size=(r, 5))
+            assert rank_numeric(a) == rank_numeric(1j * a) == r
+
     def test_invariant_under_permutation(self):
         rng = np.random.default_rng(23)
         for _ in range(20):

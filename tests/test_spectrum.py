@@ -181,6 +181,16 @@ class TestEigenIndex:
         block = np.diag(np.ones(n - 1), 1)  # single nilpotent ladder
         assert eigen_index(block, 0.0) == n
 
+    def test_real_input_takes_real_arithmetic_to_the_same_index(self):
+        # (i A - i lam I) = i (A - lam I) has the same ranks, on the complex path
+        j = np.zeros((8, 8))
+        j[np.arange(8), np.arange(8)] = [2, 2, 2, -1, -1, -1, 0, 0]
+        j[[0, 3, 4, 6], [1, 4, 5, 7]] = 1
+        s = np.random.default_rng(5).normal(size=(8, 8))
+        a = s @ j @ np.linalg.inv(s)
+        for lam, index in ((2.0, 2), (-1.0, 3), (0.0, 2), (1.0, 0)):
+            assert eigen_index(a, lam) == eigen_index(1j * a, 1j * lam) == index
+
     def test_bounded_by_multiplicity_on_corpus(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
