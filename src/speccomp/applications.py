@@ -136,7 +136,7 @@ def drazin_residuals(a, a_d, ind_a: int) -> dict:
     q = p @ m
     d = np.ldexp(a_d.view(float), t).view(complex)
     return {
-        "inner_inverse": frob(a_d @ a @ a_d - a_d) / max(1.0, frob(a_d) ** 2 * frob(a)),
+        "inner_inverse": _ratio(frob(a_d @ a @ a_d - a_d), frob(a_d) ** 2 * frob(a)),
         "commutation": _commutation(a, a_d),
         "power_identity": _ratio(frob(q @ d - p), frob(q) * frob(d), s + ind_a * t),
     }
@@ -153,7 +153,7 @@ def cesaro_residuals(p, limit) -> dict:
     return {
         "idempotency": _idempotency(limit),
         "commutation": _commutation(p, limit),
-        "absorption": frob(p @ limit - limit) / max(1.0, frob(p) * frob(limit)),
+        "absorption": _ratio(frob(p @ limit - limit), frob(p) * frob(limit)),
         "row_sums": float(np.max(np.abs(limit.sum(axis=1) - 1.0))),
         "negativity": float(max(0.0, -np.min(limit.real))),
     }

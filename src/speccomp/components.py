@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _mat_pow, _power, _split,
-                     as_matrix, frob, identity)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _mat_pow, _power, _ratio,
+                     _split, as_matrix, frob, identity)
 from .spectrum import Spectrum
 
 __all__ = [
@@ -82,10 +82,8 @@ class ComponentSet:
         norms = {k: frob(z) for k, z in proj.items()}
 
         total = sum(proj.values())
-        resolution = frob(total - eye) / max(1.0, max(norms.values()))
-        orth = _worst(
-            frob(z @ (total - z)) / max(1.0, norms[k] * frob(total - z)) for k, z in proj.items()
-        )
+        resolution = _ratio(frob(total - eye), max(norms.values()))
+        orth = _worst(_ratio(frob(z @ (total - z)), norms[k] * frob(total - z)) for k, z in proj.items())
         annihilation = []
         ladder = []
         recon_sum = np.zeros((n, n), dtype=complex)
@@ -96,13 +94,11 @@ class ComponentSet:
             annihilation.append(_annihilation(shifted, nu, proj[k]))
             for j in range(nu - 1):
                 zj, zj1 = self.parts[(k, j)], self.parts[(k, j + 1)]
-                ladder.append(
-                    frob(shifted @ zj - (j + 1) * zj1) / max(1.0, frob(shifted) * frob(zj))
-                )
+                ladder.append(_ratio(frob(shifted @ zj - (j + 1) * zj1), frob(shifted) * frob(zj)))
             recon_sum += lam * proj[k]
             if nu > 1:
                 recon_sum += self.parts[(k, 1)]
-        reconstruction = frob(a - recon_sum) / max(1.0, frob(a))
+        reconstruction = _ratio(frob(a - recon_sum), frob(a))
 
         return {
             "idempotency": _worst(_idempotency(z) for z in proj.values()),
@@ -122,7 +118,7 @@ def _worst(values) -> float:
 
 def _idempotency(z: np.ndarray) -> float:
     """Residual of Z @ Z = Z."""
-    return frob(z @ z - z) / max(1.0, frob(z) ** 2)
+    return _ratio(frob(z @ z - z), frob(z) ** 2)
 
 
 def _commutation(a: np.ndarray, z: np.ndarray) -> float:

@@ -77,9 +77,9 @@ def _pair(value, where: str):
 def _entries(entries: list, n: int) -> np.ndarray:
     """The n-by-n complex matrix of ``n * n`` [re, im] entries.
 
-    Entries that are all pairs of finite floats and ints are read in one
-    numpy pass; anything else goes through :func:`_pair`, entry by entry,
-    which gives the same bits and is the only source of error messages.
+    Every valid entry list is a list of pairs of finite floats and ints, read
+    in one numpy pass with the bits :func:`_pair` gives; any other is refused
+    by :func:`_pair` at its first bad entry, the only source of error messages.
     """
     try:
         if set(map(type, chain.from_iterable(entries))) <= {float, int}:
@@ -88,8 +88,9 @@ def _entries(entries: list, n: int) -> np.ndarray:
                 return values.view(complex).reshape(n, n)
     except (TypeError, ValueError, OverflowError):  # a non-list entry, a ragged one, a huge int
         pass
-    flat = [_pair(e, f"entries[{i}]") for i, e in enumerate(entries)]
-    return np.array(flat, dtype=complex).reshape(n, n)
+    for i, e in enumerate(entries):
+        _pair(e, f"entries[{i}]")
+    raise InputFormatError("'entries' must be [re, im] pairs of finite numbers")
 
 
 def _parse_json(text: str):

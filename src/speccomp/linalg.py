@@ -180,8 +180,9 @@ def _power(m: np.ndarray, e: int):
     return p, s
 
 
-def _ratio(num: float, den: float, e: int) -> float:
-    """``num * 2**e / max(1, den * 2**e)``, formed without overflow."""
+def _ratio(num: float, den: float, e: int = 0) -> float:
+    """``num * 2**e / max(1, den * 2**e)``, formed without overflow: the one
+    floor of every scaled residual. At ``e = 0`` an infinite ``den`` reads ``num``."""
     if den and math.frexp(den)[1] + e > 0:
         return num / den
     return math.ldexp(num, e)

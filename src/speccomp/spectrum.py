@@ -38,6 +38,20 @@ def effective_cluster_radius(values, cfg: ToleranceConfig | None = None) -> floa
     return cfg.eig_cluster_radius * scale
 
 
+def _exponents(policy, indices, multiplicities):
+    """Exponents under ``policy``, the one place it is resolved: ``indices``
+    for ``"minimal"``, ``multiplicities`` for ``"worst_case"``, an explicit
+    sequence as it is (the Spectrum checks it)."""
+    if policy == "minimal":
+        return indices
+    if policy == "worst_case":
+        return multiplicities
+    if isinstance(policy, str):
+        raise PreconditionError(f"unknown exponent policy {policy!r}; use 'minimal', 'worst_case', "
+                                "or an explicit integer sequence")
+    return policy
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Distinct eigenvalues plus the integer data the component formulas need.
@@ -141,18 +155,10 @@ class Spectrum:
 
         ``exponents`` is ``"minimal"`` (exponent = index), ``"worst_case"``
         (exponent = multiplicity), or an explicit sequence aligned with the
-        eigenvalue order.
+        eigenvalue order, resolved by :func:`_exponents`; the copy is the one
+        Spectrum built.
         """
-        if exponents == "minimal":
-            return replace(self, exponents=self.indices)
-        if exponents == "worst_case":
-            return replace(self, exponents=self.multiplicities)
-        if isinstance(exponents, str):
-            raise PreconditionError(
-                f"unknown exponent policy {exponents!r}; use 'minimal', 'worst_case', "
-                "or an explicit integer sequence"
-            )
-        return replace(self, exponents=exponents)
+        return replace(self, exponents=_exponents(exponents, self.indices, self.multiplicities))
 
     def shifted(self, k: int) -> "Spectrum":
         """Spectrum of ``A - lambda_k I`` given this spectrum of ``A``.
@@ -171,13 +177,8 @@ class Spectrum:
         """Copy with the eigenvalues replaced by ``values`` (aligned with the
         current positions) and every per-position field re-sorted canonically."""
         order = canonical_order(values)
-        return replace(
-            self,
-            eigenvalues=[values[i] for i in order],
-            multiplicities=[self.multiplicities[i] for i in order],
-            indices=[self.indices[i] for i in order],
-            exponents=[self.exponents[i] for i in order],
-        )
+        fields = (values, self.multiplicities, self.indices, self.exponents)
+        return Spectrum(*([field[i] for i in order] for field in fields))
 
 
 def _require_separated(values: np.ndarray, radius: float, message: str) -> None:
@@ -319,12 +320,16 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
       bounds), trading larger products for robustness.
     - an explicit sequence of s integers aligned with the canonical
       eigenvalue order, validated against the computed indices.
+
+    One Spectrum is built, from :func:`cluster_spectrum`'s centroids as they
+    are: canonically ordered, and separated at a radius no smaller than their
+    own, each being the mean of its members.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     values, mults = cluster_spectrum(eigenvalues_raw(a), cfg)
     if exponents == "worst_case":
-        indices = [int(m) for m in mults]
+        indices = mults
     else:
         indices = []
         for v, m in zip(values, mults):
@@ -341,7 +346,7 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
                     f"{m}; the clustering radius is likely too small"
                 )
             indices.append(nu)
-    return _assemble(values, mults, indices, cfg, exponents)
+    return Spectrum(values, mults, indices, _exponents(exponents, indices, mults))
 
 
 def spectrum_from_data(
@@ -356,8 +361,13 @@ def spectrum_from_data(
 
     This bypasses the eigenvalue solver entirely — for exactly-known or
     ill-conditioned spectra. Values within the effective clustering radius
-    of zero are snapped to exactly 0; everything is re-sorted canonically.
+    of zero are snapped to exactly 0; everything is re-sorted canonically,
+    and an explicit ``exponents`` sequence is aligned with that order.
     When ``n`` is given, the multiplicities must sum to it.
+
+    Values closer than twice the clustering radius raise
+    :class:`ClusteringError` before the one Spectrum built checks the rest,
+    so exact duplicates get the separation message too.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     values = np.asarray(eigenvalues, dtype=complex).ravel()
@@ -370,27 +380,16 @@ def spectrum_from_data(
     if not np.isfinite(values).all():
         raise PreconditionError("spectrum eigenvalues must be finite")
     values = np.where(np.abs(values) <= effective_cluster_radius(values, cfg), 0j, values)
-    return _assemble(values, mults, inds, cfg, exponents)
-
-
-def _assemble(values, mults, indices, cfg, exponents) -> Spectrum:
-    """Spectrum of the aligned ``values``, ``mults`` and ``indices``, sorted
-    canonically, under the exponent policy ``exponents``.
-
-    Values closer than twice the clustering radius raise
-    :class:`ClusteringError` before the Spectrum checks the rest, so exact
-    duplicates get the separation message too.
-    """
     order = canonical_order(values)
-    values = np.asarray(values, dtype=complex)[order]
+    values = values[order]
     _require_separated(
         values,
         effective_cluster_radius(values, cfg),
         "eigenvalues {} and {} are closer than twice the clustering radius; lower the "
         "radius or supply the spectrum explicitly",
     )
-    indices = [indices[i] for i in order]
-    return Spectrum(values, [mults[i] for i in order], indices, indices).with_exponents(exponents)
+    mults, inds = [mults[i] for i in order], [inds[i] for i in order]
+    return Spectrum(values, mults, inds, _exponents(exponents, inds, mults))
 
 
 def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:

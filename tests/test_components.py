@@ -507,6 +507,20 @@ def real_cases():
     return out
 
 
+class TestAnalyzeIsItsOwnData:
+    """``analyze`` builds the Spectrum that ``spectrum_from_data`` builds from
+    its eigenvalues, multiplicities and indices."""
+
+    @pytest.mark.parametrize("policy", ["minimal", "worst_case"])
+    def test_rebuilt_from_its_own_fields(self, cases, policy):
+        wide = ToleranceConfig(eig_cluster_radius=1e-4)  # the Jordan cases scatter like eps**(1/index)
+        for a, cfg in [(a, wide) for a, _, _ in cases] + [(a, None) for a in _real_matrices()]:
+            sp = analyze(a, cfg, exponents=policy)
+            again = spectrum_from_data(sp.eigenvalues, sp.multiplicities, sp.indices, n=a.shape[0], cfg=cfg,
+                                       exponents=policy)
+            assert again == sp
+
+
 class TestInvariants:
     """Algebraic identities of the component family on constructed cases."""
 

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speccomp import all_components, analyze
+from speccomp import InputFormatError, all_components, analyze
 from speccomp.cli import main
 from speccomp.documents import (
     _entries,
@@ -107,6 +107,40 @@ def test_entries_read_in_one_pass_have_the_per_entry_bits(case):
     want = np.array([_pair(e, "") for e in entries], dtype=complex).reshape(n, n)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _first_bad(entries):
+    """Index of the first entry :func:`_pair` refuses, None when it refuses none."""
+    for i, e in enumerate(entries):
+        try:
+            _pair(e, "")
+        except InputFormatError:
+            return i
+    return None
+
+
+# what a JSON entry list can hold: number pairs, with NaN, infinities and ints
+# past the float range among the numbers, and every other JSON value
+json_numbers = st.one_of(entry_numbers, floats, st.integers(-(2**1100), 2**1100))
+json_values = st.one_of(json_numbers, st.booleans(), st.none(), text)
+json_entries = st.one_of(st.lists(json_numbers, min_size=2, max_size=2), json_values,
+                         st.lists(json_values, max_size=3), st.dictionaries(text, json_values, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(json_entries, min_size=n * n, max_size=n * n))))
+def test_entries_the_one_pass_read_rejects_are_refused_at_the_first_bad_one(case):
+    n, entries = case
+    bad = _first_bad(entries)
+    try:
+        got = _entries(entries, n)
+    except InputFormatError as exc:
+        assert bad is not None and str(exc).startswith(f"entries[{bad}]: ")
+    else:
+        assert bad is None
+        want = np.array([_pair(e, "") for e in entries], dtype=complex).reshape(n, n)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_components_report_is_one_line_of_bit_exact_matrices(tmp_path, capsys):

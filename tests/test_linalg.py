@@ -16,7 +16,7 @@ from speccomp import (
     as_matrix,
     frob,
 )
-from speccomp.linalg import identity, mat_pow, rank_numeric, solve
+from speccomp.linalg import _ratio, identity, mat_pow, rank_numeric, solve
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -221,3 +221,23 @@ class TestFrob:
     def test_infinite_entries_stay_infinite(self):
         with np.errstate(over="ignore", invalid="ignore"):
             assert frob(np.array([[np.inf, 1.0], [0.0, 1.0]])) == np.inf
+
+
+nonnegative = st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.7e308]),
+                        st.floats(0.0, allow_nan=False, allow_infinity=False))
+
+
+class TestResidualFloor:
+    """Every residual reader divides by ``max(1, den)`` through ``_ratio``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(nonnegative, nonnegative)
+    def test_finite_denominator_is_the_inline_floor_bit_for_bit(self, num, den):
+        assert _ratio(num, den).hex() == (num / max(1.0, den)).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonnegative)
+    def test_overflowed_denominator_reads_the_numerator(self, num):
+        den = 1e200 * 1e200
+        assert num / max(1.0, den) == 0.0  # what the inline floor made of it
+        assert _ratio(num, den) == num

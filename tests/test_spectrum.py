@@ -332,6 +332,50 @@ class TestIndexSearchScope:
             assert list(sp.indices) == [eigen_index(a, v, cfg) for v in sp.eigenvalues]
 
 
+class TestBuiltOnce:
+    """Each constructor builds one Spectrum, with its exponent policy resolved."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"built": 0, "separated": 0}
+        post_init, separated = Spectrum.__post_init__, speccomp.spectrum._require_separated
+
+        def built(self):
+            counts["built"] += 1
+            post_init(self)
+
+        def checked(*args):
+            counts["separated"] += 1
+            separated(*args)
+
+        monkeypatch.setattr(Spectrum, "__post_init__", built)
+        monkeypatch.setattr(speccomp.spectrum, "_require_separated", checked)
+        return counts
+
+    @pytest.mark.parametrize("policy, exponents", [("minimal", (1, 1)), ("worst_case", (2, 1)),
+                                                   ([2, 3], (2, 3))])
+    def test_one_build_per_call(self, counts, policy, exponents):
+        base = spectrum_from_data([2.0, 0.0], [2, 1], [1, 1])
+        calls = [
+            (lambda: analyze(np.diag([2.0, 2.0, 0.0]), exponents=policy), 1),
+            (lambda: spectrum_from_data([0.0, 2.0], [1, 2], [1, 1], exponents=policy), 1),
+            (lambda: base.with_exponents(policy), 0),
+        ]
+        for call, separations in calls:
+            counts.update(built=0, separated=0)
+            sp = call()
+            assert (sp.eigenvalues, sp.multiplicities, sp.exponents) == ((2, 0), (2, 1), exponents)
+            assert counts == {"built": 1, "separated": separations}
+
+    def test_unknown_policy_has_one_message_everywhere(self):
+        sp = spectrum_from_data([2.0], [1], [1])
+        for call in (lambda: analyze(np.eye(2), exponents="fastest"),
+                     lambda: spectrum_from_data([2.0], [1], [1], exponents="fastest"),
+                     lambda: sp.with_exponents("fastest")):
+            with pytest.raises(PreconditionError, match="^unknown exponent policy 'fastest'; use 'minimal'"):
+                call()
+
+
 class TestSpectrumType:
     def test_from_data_snaps_and_sorts(self):
         sp = spectrum_from_data([1e-12, 3.0], [1, 2], [1, 1])
