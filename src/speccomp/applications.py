@@ -8,10 +8,10 @@ from typing import Callable
 
 import numpy as np
 
-from .components import ComponentSet, _check_pair, _commutation, _idempotency, component, eigenprojection_zero
+from .components import ComponentSet, _check_pair, _commutation, component, eigenprojection_zero
 from .exceptions import PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _power, _ratio, _split, as_matrix, frob, identity,
-                     solve)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _inner_inverse, _power, _ratio, _split, as_matrix, frob,
+                     identity, solve)
 from .spectrum import Spectrum, analyze, effective_cluster_radius, replace_eigenvalue
 
 __all__ = [
@@ -136,7 +136,7 @@ def drazin_residuals(a, a_d, ind_a: int) -> dict:
     q = p @ m
     d = np.ldexp(a_d.view(float), t).view(complex)
     return {
-        "inner_inverse": _ratio(frob(a_d @ a @ a_d - a_d), frob(a_d) ** 2 * frob(a)),
+        "inner_inverse": _inner_inverse(a_d, a),
         "commutation": _commutation(a, a_d),
         "power_identity": _ratio(frob(q @ d - p), frob(q) * frob(d), s + ind_a * t),
     }
@@ -151,7 +151,7 @@ def cesaro_residuals(p, limit) -> dict:
     p = as_matrix(p)
     limit = as_matrix(limit)
     return {
-        "idempotency": _idempotency(limit),
+        "idempotency": _inner_inverse(limit),
         "commutation": _commutation(p, limit),
         "absorption": _ratio(frob(p @ limit - limit), frob(p) * frob(limit)),
         "row_sums": float(np.max(np.abs(limit.sum(axis=1) - 1.0))),

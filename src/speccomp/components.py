@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _mat_pow, _power, _ratio,
-                     _split, as_matrix, frob, identity)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _inner_inverse, _mat_pow, _power,
+                     _ratio, _split, as_matrix, frob, identity)
 from .spectrum import Spectrum
 
 __all__ = [
@@ -101,7 +101,7 @@ class ComponentSet:
         reconstruction = _ratio(frob(a - recon_sum), frob(a))
 
         return {
-            "idempotency": _worst(_idempotency(z) for z in proj.values()),
+            "idempotency": _worst(_inner_inverse(z) for z in proj.values()),
             "commutation": _worst(_commutation(a, z) for z in self.parts.values()),
             "resolution_of_identity": resolution,
             "orthogonality": orth,
@@ -114,11 +114,6 @@ class ComponentSet:
 def _worst(values) -> float:
     """Largest of the residuals ``values`` (0.0 when empty); NaN if any is NaN."""
     return float(np.max(list(values), initial=0.0))
-
-
-def _idempotency(z: np.ndarray) -> float:
-    """Residual of Z @ Z = Z."""
-    return _ratio(frob(z @ z - z), frob(z) ** 2)
 
 
 def _commutation(a: np.ndarray, z: np.ndarray) -> float:
@@ -199,34 +194,20 @@ def _lagrange_factor(x: np.ndarray, lam, outer: int):
     return (power, e + f), np.log2(norm) + e
 
 
-def _member_shift(real: np.ndarray, lam: complex):
-    """``B = A - Re(lam) I`` of a real A, its Frobenius norm, and the log2 of
-    ``||A - lam I||_F = sqrt(||B||_F^2 + n Im(lam)^2)``, read without overflow."""
+def _pair_factor(real: np.ndarray, lam: complex):
+    """``(A - lam I)(A - conj(lam) I) = B @ B + Im(lam)^2 I`` of a real A, with
+    ``B = A - Re(lam) I``, as a real scaled matrix, and the log2 of
+    ``||A - lam I||_F = sqrt(||B||_F^2 + n Im(lam)^2)``, read without overflow.
+    B is split first, so neither its square nor ``Im(lam)^2`` over- or underflows."""
     b = _shift(real, lam.real)
     norm = frob(b)
-    return b, norm, np.log2(math.hypot(norm, math.sqrt(real.shape[0]) * lam.imag))
-
-
-def _pair_factor(real: np.ndarray, lam: complex):
-    """``(A - lam I)(A - conj(lam) I) = B @ B + Im(lam)^2 I`` of a real A, as a
-    real scaled matrix, and the log2 of ``||A - lam I||_F``. B is split first,
-    so neither its square nor ``Im(lam)^2`` over- or underflows."""
-    b, norm, log_norm = _member_shift(real, lam)
+    log_norm = np.log2(math.hypot(norm, math.sqrt(real.shape[0]) * lam.imag))
     b, f = _split(b, norm)
     square = b @ b
     imag = math.ldexp(lam.imag, -f)
     square.flat[:: real.shape[0] + 1] += imag * imag
     square, g = _split(square)
     return (square, 2 * f + g), log_norm
-
-
-def _linear_member(real: np.ndarray, lam: complex):
-    """``A - lam I`` of a real A, one member of a conjugate pair, as a complex
-    scaled matrix, and the log2 of its norm as :func:`_pair_factor` reads it."""
-    b, _, log_norm = _member_shift(real, lam)
-    shift = b.astype(complex)
-    shift.flat[:: real.shape[0] + 1] -= 1j * lam.imag
-    return _split(shift), log_norm
 
 
 def _conjugate_pairs(sp: Spectrum) -> dict:
@@ -301,19 +282,16 @@ def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> d
     d, d_exp, w = _lagrange_scalars(sp, wanted, pairs)
     log_norm = np.full(sp.s, -np.inf)
 
-    def factor(g):
-        i = groups[g][0]
+    def single(i):
         lam = sp.eigenvalues[i]
-        if len(groups[g]) == 2:
-            m, log_norm[list(groups[g])] = _pair_factor(real, lam)
-        elif real is not None and not lam.imag:
-            m, log_norm[i] = _lagrange_factor(real, lam.real, sp.exponents[i])
-        else:
-            m, log_norm[i] = _lagrange_factor(a, lam, sp.exponents[i])
+        x, lam = (real, lam.real) if real is not None and not lam.imag else (a, lam)
+        m, log_norm[i] = _lagrange_factor(x, lam, sp.exponents[i])
         return m
 
-    def partner(k):
-        m, log_norm[pairs[k]] = _linear_member(real, sp.eigenvalues[pairs[k]])
+    def factor(g):
+        if len(groups[g]) == 1:
+            return single(groups[g][0])
+        m, log_norm[list(groups[g])] = _pair_factor(real, sp.eigenvalues[groups[g][0]])
         return m
 
     out = {}
@@ -329,7 +307,7 @@ def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> d
         for g in range(last + 1):
             for k in [k for k in groups[g] if k in row]:
                 r = row[k]
-                middle = _times(head, partner(k)) if k in pairs else head
+                middle = _times(head, single(pairs[k])) if k in pairs else head
                 product = _times(middle, suffixes[g])
                 if product is None:
                     out[k + 1] = identity(n)
@@ -456,7 +434,7 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     a = as_matrix(a)
     z = np.ascontiguousarray(z, dtype=complex)
     return {
-        "idempotency": _idempotency(z),
+        "idempotency": _inner_inverse(z),
         "commutation": _commutation(a, z),
         "annihilation": _annihilation(a, sp.ind_a, z),
     }

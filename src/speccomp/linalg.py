@@ -197,6 +197,29 @@ def _bilinear(x: np.ndarray, y: np.ndarray, form, e: int = 0) -> float:
     return _ratio(frob(form(x, y)), math.ldexp(fx, -f) * math.ldexp(fy, -g), e + f + g)
 
 
+def _inner_inverse(x: np.ndarray, y: np.ndarray | None = None) -> float:
+    """``frob(X Y X - X) / max(1, frob(X)**2 frob(Y))``, with Y = I of norm 1
+    when None (the idempotency of X). Like :func:`_bilinear`, it reads X and Y
+    split by their norms, and the part of smaller scale is shifted down to the
+    other's, so no step overflows; in range, no operand is rescaled."""
+    fx = frob(x)
+    x, f = _split(x, fx)
+    fx = math.ldexp(fx, -f)
+    if y is None:
+        xyx, fy, g = x @ x, 1.0, 0
+    else:
+        fy = frob(y)
+        y, g = _split(y, fy)
+        xyx, fy = x @ y @ x, math.ldexp(fy, -g)
+    # X Y X - X = 2**(f + hi) (x y x 2**lo - x 2**-hi)
+    lo, hi = min(f + g, 0), max(f + g, 0)
+    if lo or hi:
+        with np.errstate(under="ignore"):
+            xyx = np.ldexp(xyx.view(float), lo).view(xyx.dtype)
+            x = np.ldexp(x.view(float), -hi).view(x.dtype)
+    return _ratio(frob(xyx - x), math.ldexp(fx ** 2 * fy, lo), f + hi)
+
+
 def rank_numeric(a, cfg: ToleranceConfig | None = None) -> int:
     """Numerical rank: singular values above ``rank_rel_threshold`` times the largest.
 

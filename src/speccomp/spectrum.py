@@ -42,14 +42,14 @@ def _exponents(policy, indices, multiplicities):
     """Exponents under ``policy``, the one place it is resolved: ``indices``
     for ``"minimal"``, ``multiplicities`` for ``"worst_case"``, an explicit
     sequence as it is (the Spectrum checks it)."""
+    if not isinstance(policy, str):
+        return policy
     if policy == "minimal":
         return indices
     if policy == "worst_case":
         return multiplicities
-    if isinstance(policy, str):
-        raise PreconditionError(f"unknown exponent policy {policy!r}; use 'minimal', 'worst_case', "
-                                "or an explicit integer sequence")
-    return policy
+    raise PreconditionError(f"unknown exponent policy {policy!r}; use 'minimal', 'worst_case', "
+                             "or an explicit integer sequence")
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     values, mults = cluster_spectrum(eigenvalues_raw(a), cfg)
-    if exponents == "worst_case":
+    if isinstance(exponents, str) and exponents == "worst_case":
         indices = mults
     else:
         indices = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from speccomp import (
 )
 from speccomp.cli import main
 from speccomp.documents import document_payload
-from speccomp.linalg import mat_pow, solve
+from speccomp.linalg import _inner_inverse, _ratio, frob, mat_pow, solve
 from speccomp.spectrum import replace_eigenvalue
 
 from corpus import (
@@ -141,6 +142,42 @@ class TestDrazin:
             a_d = drazin_inverse(a, sp)
             worst = max(drazin_residuals(a, a_d, sp.ind_a).values())
             assert worst <= 1e-8
+
+
+class TestResidualsAtAnyScale:
+    """No residual raises or warns on finite operands, and in range each keeps
+    the bits of its unsplit formula."""
+
+    def test_huge_operands_read_finite_residuals(self):
+        eye = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drazin = drazin_residuals(eye, 1e200 * eye, 0)
+            cesaro = cesaro_residuals(eye, 1e200 * eye)
+        assert all(math.isfinite(v) for v in (*drazin.values(), *cesaro.values()))
+        # |X Y X - X| / |X|^2 |Y| with X = 1e200 I: 1/2 for Y = I, 1/sqrt(2) for Y = None
+        assert drazin["inner_inverse"] == pytest.approx(0.5, rel=1e-15)
+        assert cesaro["idempotency"] == pytest.approx(2 ** -0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("x, y, want", [(1e-200, 1e-200, 2 ** 0.5 * 1e-200), (1e-300, 1e250, 2 ** 0.5 * 1e-300),
+                                            (1e300, 1e-250, 0.5), (1e300, 1e300, 0.5),
+                                            (1e200, None, 2 ** -0.5)])
+    def test_split_operands_read_the_exact_ratio(self, x, y, want):
+        # X = x I and Y = y I (I when None), n = 2: |X Y X - X| = sqrt(2) |x^2 y - x|
+        # over max(1, |X|^2 |Y|), where |X|^2 = 2 x^2 and |Y| = sqrt(2) y (1 for I)
+        eye = np.eye(2, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _inner_inverse(x * eye, None if y is None else y * eye)
+        assert got == pytest.approx(want, rel=1e-15)
+
+    def test_in_range_operands_keep_the_unsplit_bits(self):
+        rng = np.random.default_rng(49)
+        for t in range(-30, 31, 3):
+            x = 2.0 ** t * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+            y = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            assert _inner_inverse(x, y) == _ratio(frob(x @ y @ x - x), frob(x) ** 2 * frob(y))
+            assert _inner_inverse(x) == _ratio(frob(x @ x - x), frob(x) ** 2)
 
 
 class TestCesaro:

@@ -389,6 +389,19 @@ class TestExitCodes:
         z = next(c for c in json.loads(out)["components"] if (c["k"], c["j"]) == (1, 0))
         assert_allclose(matrix_from_block(z["matrix"]), np.diag([0.0, 0.0, 1.0]), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("a, flags, a_d", [
+        (1e-160 * np.diag([1.0, 2.0]), ["--tol-eig", "1e-200"], np.diag([1e160, 5e159])),
+        (np.diag([1e-160, 1.0]), ["--tol-eig", "1e-170", "--tol-rank", "1e-200"], np.diag([1e160, 1.0])),
+    ])
+    def test_drazin_inverse_past_1e154_reads_its_residuals(self, tmp_path, capsys, a, flags, a_d):
+        # frob(A^D) ** 2 in Python floats raised OverflowError here
+        doc = write_json(tmp_path / "tiny.json", document_payload(a))
+        code, out, err = run(capsys, ["drazin", "--input", doc, *flags])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert np.array_equal(matrix_from_block(report["drazin_inverse"]), a_d)
+        assert set(report["residuals"].values()) == {0.0}
+
     def test_overflowing_product_of_guarded_factors_is_3(self, tmp_path, capsys):
         # factors I - A and I - A/2 have norms near 1e11, inside the guard
         # 1e20; their product has norm 5e21

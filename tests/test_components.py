@@ -676,7 +676,6 @@ class TestRealArithmetic:
             raise AssertionError("a complex matrix formed a pair factor")
 
         monkeypatch.setattr(components, "_pair_factor", refuse)
-        monkeypatch.setattr(components, "_linear_member", refuse)
         rng = np.random.default_rng(6)
         s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         a = s @ np.diag([1 + 1j, 1 - 1j, 2]) @ np.linalg.inv(s)

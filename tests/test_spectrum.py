@@ -353,7 +353,7 @@ class TestBuiltOnce:
         return counts
 
     @pytest.mark.parametrize("policy, exponents", [("minimal", (1, 1)), ("worst_case", (2, 1)),
-                                                   ([2, 3], (2, 3))])
+                                                   ([2, 3], (2, 3)), (np.array([2, 3]), (2, 3))])
     def test_one_build_per_call(self, counts, policy, exponents):
         base = spectrum_from_data([2.0, 0.0], [2, 1], [1, 1])
         calls = [
