@@ -108,15 +108,8 @@ def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | Non
         raise PreconditionError("matrix is not row-stochastic: entries must be (near-)real and nonnegative")
 
     sp = analyze(p, cfg, exponents="minimal") if spectrum is None else spectrum
-    values = np.asarray(sp.eigenvalues, dtype=complex)
-    k = int(np.abs(values - 1.0).argmin()) + 1
-    distance = abs(values[k - 1] - 1.0)
-    if distance > 10.0 * effective_cluster_radius(values, cfg):
-        raise PreconditionError(
-            f"eigenvalue 1 not found in the spectrum (nearest is {values[k - 1]}); "
-            "the matrix is not stochastic to working accuracy"
-        )
-    if values[k - 1] != 1.0:
+    k = sp.position_of(1.0, 10.0 * effective_cluster_radius(sp.eigenvalues, cfg))
+    if sp.eigenvalues[k - 1] != 1.0:
         sp = replace_eigenvalue(sp, k, 1.0)
         k = sp.position_of(1.0)
     return component(p, sp, k, 0, cfg)

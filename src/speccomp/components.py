@@ -408,11 +408,14 @@ def all_components(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> Compo
 
     The projectors of all exponent-1 positions come from one shared
     Lagrange sweep (:func:`_lagrange`); every other position runs its own
-    product.
+    product. A spectrum without 0 is refused for a numerically singular
+    matrix, as :func:`eigenprojection_zero` refuses it.
     """
     a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     _check_pair(a, sp)
+    if sp.zero_position is None:
+        eigenprojection_zero(a, sp, cfg)
     ones = [k for k in range(1, sp.s + 1) if sp.exponents[k - 1] == 1]
     simple = _lagrange(a, sp, ones, cfg) if ones else {}
     parts = {}

@@ -136,13 +136,14 @@ class Spectrum:
     def position_of(self, value, tol: float = 0.0) -> int:
         """1-based position of the eigenvalue nearest ``value``.
 
-        Raises :class:`PreconditionError` when the nearest one is farther
-        than ``tol`` away, or ``value`` is NaN.
+        Raises :class:`PreconditionError`, naming the nearest eigenvalue,
+        when it is farther than ``tol`` away, or ``value`` is NaN.
         """
         dist = np.abs(np.asarray(self.eigenvalues, dtype=complex) - complex(value))
         pos = int(dist.argmin())
         if not dist[pos] <= tol:
-            raise PreconditionError(f"{value!r} is not an eigenvalue of this spectrum")
+            raise PreconditionError(f"{value!r} is not an eigenvalue of this spectrum (nearest is "
+                                    f"{self.eigenvalues[pos]}, {dist[pos]:.3e} away, beyond {tol:.3e})")
         return pos + 1
 
     def _check_position(self, k: int) -> None:

@@ -25,6 +25,7 @@ from speccomp import (
     drazin_inverse,
     drazin_residuals,
     matrix_function,
+    spectrum_from_data,
 )
 from speccomp.cli import main
 from speccomp.documents import document_payload
@@ -88,6 +89,10 @@ class TestMatrixFunction:
         shallow = ScalarFunctionJet(lambda lam, j: 1.0, 0)
         with pytest.raises(PreconditionError, match="order"):
             matrix_function(cs, shallow)
+
+    def test_jet_refuses_an_order_past_its_last(self):
+        with pytest.raises(PreconditionError, match="derivative order 1 requested, evaluator supports up to 0"):
+            ScalarFunctionJet(lambda lam, j: lam, 0)(1.0, 1)
 
 
 class TestDrazin:
@@ -213,6 +218,11 @@ class TestCesaro:
         assert res["idempotency"] <= 1e-8
         assert res["commutation"] <= 1e-8
         assert res["absorption"] <= 1e-8
+
+    def test_spectrum_without_1_is_refused_naming_its_nearest_eigenvalue(self):
+        sp = spectrum_from_data([2.0, 0.0], [1, 1], [1, 1])
+        with pytest.raises(PreconditionError, match=r"1\.0 is not an eigenvalue .*nearest is \(2\+0j\)"):
+            cesaro_limit(np.eye(2), spectrum=sp)
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(PreconditionError, match="stochastic"):

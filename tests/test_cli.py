@@ -265,6 +265,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "numerically singular" in err
 
+    def test_components_refuses_a_lost_zero_as_projector_does(self, tmp_path, capsys):
+        from corpus import lost_zero_matrix
+
+        doc = write_json(tmp_path / "lost.json", document_payload(lost_zero_matrix()))
+        code, out, err = run(capsys, ["components", "--input", doc])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "no zero eigenvalue" in err
+        assert run(capsys, ["projector", "--input", doc]) == (3, "", err)
+
+    def test_clustered_value_that_is_no_eigenvalue_is_3(self, tmp_path, capsys):
+        # at radius 1e-3 the values 1 and 1.001 join into the centroid 1.0005,
+        # and A - 1.0005 I has full rank, so the cluster is no eigenvalue
+        doc = write_json(tmp_path / "close.json", document_payload(np.diag([1.0, 1.001, 5.0])))
+        code, out, err = run(capsys, ["spectrum", "--input", doc, "--tol-eig", "1e-3"])
+        assert (code, out) == (3, "")
+        assert "clustered value (1.0005+0j) is not an eigenvalue" in err
+
     def test_simple_extreme_ratio_is_exact_under_worst_case(self, tmp_path, capsys):
         # every exponent is a multiplicity, here 1, and no eigenvalue is 0, so
         # the projector is (I - A/1e7)(I - A/1e-7): diagonal, and exactly 0
@@ -295,6 +312,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, ["verify", "--input", a, "--against", a])
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_verify_against_another_size_is_2(self, tmp_path, capsys):
+        a = write_json(tmp_path / "a.json", DIAG02)
+        b = write_json(tmp_path / "b.json", {"n": 1, "entries": [[2, 0]]})
+        code, out, err = run(capsys, ["verify", "--input", a, "--against", b])
+        assert (code, out) == (2, "")
+        assert err == "error: cannot compare a 2x2 matrix against a 1x1 reference\n"
 
     def test_residual_enforcement_is_4(self, tmp_path, capsys):
         # a defective case has residuals around machine precision: shrink

@@ -62,6 +62,12 @@ class TestEigenprojectionZero:
         with pytest.raises(ConditioningError, match="no zero eigenvalue.*numerically singular"):
             eigenprojection_zero(a, sp)
 
+    def test_all_components_refuses_a_lost_zero(self):
+        # without the refusal its two "projectors" at the scattered zero have norm 5e7
+        a = lost_zero_matrix()
+        with pytest.raises(ConditioningError, match="no zero eigenvalue.*numerically singular"):
+            all_components(a, analyze(a))
+
     def test_matches_oracle_on_constructed_case(self):
         spec = JordanSpec([(0.0, [2]), (3.0, [1])], seed=11)
         a, truth, sp = build_case(spec)

@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,3 +277,15 @@ def test_malformed_document_exits_1_with_one_short_error_line(case):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("data, suffix, message", [
+    (b"[1, 2]", ".json", "document root must be a JSON object"),
+    (b'{"n": 1, "entries": [[1, 0]], "spectrum": []}', ".json", "'spectrum' must be a nonempty list of records"),
+    (b"1,0,0,0\n0,0\n", ".csv", "line 2: expected 4 columns like the first row, got 2"),
+    (b"\n  \n", ".csv", "CSV document contains no data rows"),
+    (b"1,0,2,0\n", ".csv", "CSV matrix must be square: 1 rows need 2 columns (re,im pairs), got 4"),
+    (b"inf,0\n", ".csv", "CSV entries must be finite"),
+], ids=["root-not-object", "empty-spectrum", "ragged-csv", "csv-no-rows", "csv-not-square", "csv-inf"])
+def test_each_document_refusal_exits_1_with_its_message(data, suffix, message):
+    assert _spectrum_cli(data, suffix) == (1, "", f"error: {message}\n")

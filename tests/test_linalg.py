@@ -130,6 +130,10 @@ class TestSolve:
         b = rng.normal(size=(3, 3)).astype(complex)
         assert_allclose(solve(identity(3), b), b)
 
+    def test_right_hand_side_of_another_size_is_refused(self):
+        with pytest.raises(PreconditionError, match="dimension mismatch: 2x2 system, 3x3 right-hand side"):
+            solve(identity(2), identity(3))
+
     def test_diagonal_system(self):
         assert_allclose(solve(np.diag([2.0, 4.0]), identity(2)), np.diag([0.5, 0.25]))
 

@@ -56,6 +56,10 @@ class TestJordanSpec:
         with pytest.raises(PreconditionError):
             JordanSpec([(1.0, [0])])
 
+    def test_rejects_an_empty_block_beside_a_valid_one(self):
+        with pytest.raises(PreconditionError, match=r"block sizes for eigenvalue \(2\+0j\) must be positive"):
+            JordanSpec([(1.0, [1]), (2.0, [0])])
+
     def test_dim(self):
         assert JordanSpec([(1.0, [2, 1]), (-2.0, [3])]).dim == 6
 

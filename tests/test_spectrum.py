@@ -217,6 +217,13 @@ class TestAnalyze:
         assert sp.ind_a == 0
         assert sp.u == 0  # nonsingular: u = ind A
 
+    def test_index_above_the_clustered_multiplicity_is_refused(self, monkeypatch):
+        # the 3x3 shift has index 3 at 0; a solver that lost one of its
+        # three zeros to 5 leaves a cluster of multiplicity 2
+        monkeypatch.setattr(speccomp.spectrum, "eigenvalues_raw", lambda a: np.array([0, 0, 5], dtype=complex))
+        with pytest.raises(ClusteringError, match=r"index 3 of eigenvalue 0j exceeds its clustered multiplicity 2"):
+            analyze(np.diag([1.0, 1.0], 1))
+
     def test_worst_case_policy_skips_index_search(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("worst_case must not compute rank plateaus")
@@ -386,6 +393,10 @@ class TestSpectrumType:
     def test_from_data_rejects_bad_sum(self):
         with pytest.raises(PreconditionError):
             spectrum_from_data([1.0, 2.0], [1, 1], [1, 1], n=3)
+
+    def test_from_data_rejects_fields_of_unequal_length(self):
+        with pytest.raises(PreconditionError, match="must have equal length"):
+            spectrum_from_data([1.0, 2.0], [1], [1])
 
     def test_from_data_rejects_index_above_multiplicity(self):
         with pytest.raises(PreconditionError):
