@@ -3,15 +3,16 @@ inverse, and limiting matrices of row-stochastic chains."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .components import ComponentSet, _check_pair, _commutation, component, eigenprojection_zero
+from .components import ComponentSet, _check_pair, _commutation, _component, _projector_zero
 from .exceptions import PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _inner_inverse, _power, _ratio, _split, as_matrix, frob,
-                     identity, solve)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _difference_ratio, _inner_inverse, _power, _solve, _split,
+                     as_matrix, frob, identity)
 from .spectrum import Spectrum, analyze, effective_cluster_radius, replace_eigenvalue
 
 __all__ = [
@@ -72,16 +73,14 @@ def drazin_inverse(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.nd
     at A's own scale, so the solve does not refuse it for mixing scales. A
     singular solve here means Z was wrong for this matrix. Without a zero
     eigenvalue Z is 0 and this is the plain inverse, which the solve refuses
-    for a matrix that is numerically singular after all.
+    for a matrix that is numerically singular after all; its LU inverse is refined once.
     """
-    a = as_matrix(a)
-    cfg = cfg or DEFAULT_TOLERANCES
+    a, cfg = _check_pair(as_matrix(a), sp), cfg or DEFAULT_TOLERANCES
     if sp.zero_position is None:
-        _check_pair(a, sp)
-        return solve(a, identity(a.shape[0]), cfg)
-    z = eigenprojection_zero(a, sp, cfg)
-    c = frob(a) / np.sqrt(a.shape[0]) or 1.0
-    return solve(a + c * z, identity(a.shape[0]) - z, cfg)
+        return _solve(a, None, cfg)
+    z = _projector_zero(a, sp, cfg)
+    c = frob(a) / math.sqrt(a.shape[0]) or 1.0
+    return _solve(a + c * z, identity(a.shape[0]) - z, cfg)
 
 
 def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | None = None) -> np.ndarray:
@@ -112,7 +111,8 @@ def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | Non
     if sp.eigenvalues[k - 1] != 1.0:
         sp = replace_eigenvalue(sp, k, 1.0)
         k = sp.position_of(1.0)
-    return component(p, sp, k, 0, cfg)
+    _check_pair(p, sp)
+    return _component(p, sp, k, 0, cfg)
 
 
 def drazin_residuals(a, a_d, ind_a: int) -> dict:
@@ -120,18 +120,19 @@ def drazin_residuals(a, a_d, ind_a: int) -> dict:
 
     The axioms: ``A^D A A^D = A^D``, ``A A^D = A^D A``, and
     ``A^(k+1) A^D = A^k`` with k the index of eigenvalue 0, read on
-    ``A = M 2**t``, the carried power of M and ``A^D 2**t`` at any scale.
+    ``A = M 2**t``, the carried power of M and ``A^D`` split, at any scale.
     """
     a = as_matrix(a)
     a_d = as_matrix(a_d)
-    m, t = _split(a)
+    fa, fd = frob(a), frob(a_d)
+    (m, t), (d, g) = _split(a), _split(a_d, fd)
     p, s = _power(m, ind_a)
     q = p @ m
-    d = np.ldexp(a_d.view(float), t).view(complex)
     return {
-        "inner_inverse": _inner_inverse(a_d, a),
-        "commutation": _commutation(a, a_d),
-        "power_identity": _ratio(frob(q @ d - p), frob(q) * frob(d), s + ind_a * t),
+        "inner_inverse": _inner_inverse(a_d, a, fd, fa),
+        "commutation": _commutation(a, a_d, fa, fd),
+        # A^(k+1) A^D - A^k = 2**(s + k t) (q d 2**(t + g) - p)
+        "power_identity": _difference_ratio(q @ d, p, frob(q) * math.ldexp(fd, -g), t + g, s + ind_a * t),
     }
 
 
@@ -143,10 +144,13 @@ def cesaro_residuals(p, limit) -> dict:
     """
     p = as_matrix(p)
     limit = as_matrix(limit)
+    fp, fl = frob(p), frob(limit)
+    (x, f), (y, g) = _split(p, fp), _split(limit, fl)
     return {
-        "idempotency": _inner_inverse(limit),
-        "commutation": _commutation(p, limit),
-        "absorption": _ratio(frob(p @ limit - limit), frob(p) * frob(limit)),
+        "idempotency": _inner_inverse(limit, None, fl),
+        "commutation": _commutation(p, limit, fp, fl),
+        # P L - L = 2**g (x y 2**f - y)
+        "absorption": _difference_ratio(x @ y, y, math.ldexp(fp, -f) * math.ldexp(fl, -g), f, g),
         "row_sums": float(np.max(np.abs(limit.sum(axis=1) - 1.0))),
         "negativity": float(max(0.0, -np.min(limit.real))),
     }

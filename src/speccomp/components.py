@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _inner_inverse, _mat_pow, _power,
-                     _ratio, _split, as_matrix, frob, identity)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _full_rank, _inner_inverse, _mat_pow,
+                     _power, _ratio, _split, as_matrix, frob, identity)
 from .spectrum import Spectrum
 
 __all__ = [
@@ -79,11 +79,11 @@ class ComponentSet:
         n = sp.source_dim
         eye = identity(n)
         proj = {k: self.parts[(k, 0)] for k in range(1, sp.s + 1)}
-        norms = {k: frob(z) for k, z in proj.items()}
+        fa, norms = frob(a), {key: frob(z) for key, z in self.parts.items()}
 
         total = sum(proj.values())
-        resolution = _ratio(frob(total - eye), max(norms.values()))
-        orth = _worst(_ratio(frob(z @ (total - z)), norms[k] * frob(total - z)) for k, z in proj.items())
+        resolution = _ratio(frob(total - eye), max(norms[(k, 0)] for k in proj))
+        orth = _worst(_ratio(frob(z @ (total - z)), norms[(k, 0)] * frob(total - z)) for k, z in proj.items())
         annihilation = []
         ladder = []
         recon_sum = np.zeros((n, n), dtype=complex)
@@ -91,18 +91,19 @@ class ComponentSet:
             lam = sp.eigenvalues[k - 1]
             nu = sp.indices[k - 1]
             shifted = a - lam * eye
-            annihilation.append(_annihilation(shifted, nu, proj[k]))
+            fs = frob(shifted)
+            annihilation.append(_annihilation(shifted, nu, proj[k], fs, norms[(k, 0)]))
             for j in range(nu - 1):
                 zj, zj1 = self.parts[(k, j)], self.parts[(k, j + 1)]
-                ladder.append(_ratio(frob(shifted @ zj - (j + 1) * zj1), frob(shifted) * frob(zj)))
+                ladder.append(_ratio(frob(shifted @ zj - (j + 1) * zj1), fs * norms[(k, j)]))
             recon_sum += lam * proj[k]
             if nu > 1:
                 recon_sum += self.parts[(k, 1)]
-        reconstruction = _ratio(frob(a - recon_sum), frob(a))
+        reconstruction = _ratio(frob(a - recon_sum), fa)
 
         return {
-            "idempotency": _worst(_inner_inverse(z) for z in proj.values()),
-            "commutation": _worst(_commutation(a, z) for z in self.parts.values()),
+            "idempotency": _worst(_inner_inverse(z, None, norms[(k, 0)]) for k, z in proj.items()),
+            "commutation": _worst(_commutation(a, z, fa, norms[key]) for key, z in self.parts.items()),
             "resolution_of_identity": resolution,
             "orthogonality": orth,
             "annihilation": _worst(annihilation),
@@ -116,16 +117,16 @@ def _worst(values) -> float:
     return float(np.max(list(values), initial=0.0))
 
 
-def _commutation(a: np.ndarray, z: np.ndarray) -> float:
-    """Residual of A @ Z = Z @ A."""
-    return _bilinear(a, z, lambda x, y: x @ y - y @ x)
+def _commutation(a: np.ndarray, z: np.ndarray, fa: float, fz: float) -> float:
+    """Residual of A @ Z = Z @ A, given ``fa = frob(a)`` and ``fz = frob(z)``."""
+    return _bilinear(a, z, lambda x, y: x @ y - y @ x, 0, fa, fz)
 
 
-def _annihilation(shifted: np.ndarray, nu: int, z: np.ndarray) -> float:
+def _annihilation(shifted: np.ndarray, nu: int, z: np.ndarray, fs: float, fz: float) -> float:
     """Residual of ``shifted ** nu @ Z = 0``, read on the carried power
-    (:func:`_power`) at any scale."""
+    (:func:`_power`) at any scale, given ``fs = frob(shifted)`` and ``fz = frob(z)``."""
     p, e = _power(shifted, nu)
-    return _bilinear(p, z, np.matmul, e)
+    return _bilinear(p, z, np.matmul, e, fs if nu == 1 else frob(p), fz)
 
 
 def _guard(norm: float, cfg: ToleranceConfig, what: str) -> None:
@@ -138,12 +139,13 @@ def _guard(norm: float, cfg: ToleranceConfig, what: str) -> None:
         )
 
 
-def _check_pair(a: np.ndarray, sp: Spectrum) -> None:
+def _check_pair(a: np.ndarray, sp: Spectrum) -> np.ndarray:
     if sp.source_dim != a.shape[0]:
         raise PreconditionError(
             f"spectrum describes a {sp.source_dim}x{sp.source_dim} matrix, "
             f"got {a.shape[0]}x{a.shape[0]}"
         )
+    return a
 
 
 def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: ToleranceConfig) -> np.ndarray:
@@ -341,27 +343,19 @@ def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) ->
     :class:`ConditioningError`: its zero eigenvalue was lost, as a defective 0
     whose computed values scatter past the clustering radius is.
     """
-    a = as_matrix(a)
-    cfg = cfg or DEFAULT_TOLERANCES
-    _check_pair(a, sp)
+    return _projector_zero(_check_pair(as_matrix(a), sp), sp, cfg or DEFAULT_TOLERANCES)
+
+
+def _projector_zero(a: np.ndarray, sp: Spectrum, cfg: ToleranceConfig) -> np.ndarray:
+    """Core of :func:`eigenprojection_zero` on a validated pair."""
     if sp.zero_position is None:
-        sv = np.linalg.svd(a, compute_uv=False)
-        if not sv[-1] > min(cfg.rank_rel_threshold, cfg.eig_cluster_radius) * sv[0]:
-            raise ConditioningError(
-                f"the spectrum has no zero eigenvalue, but the matrix is numerically singular: "
-                f"smallest singular value {sv[-1]:.3e} (largest {sv[0]:.3e}); its zero eigenvalue "
-                "likely scattered past the clustering radius — raise the radius or supply the "
-                "spectrum explicitly"
-            )
+        _full_rank(a, min(cfg.rank_rel_threshold, cfg.eig_cluster_radius), lambda sv: ConditioningError(
+            f"the spectrum has no zero eigenvalue, but the matrix is numerically singular: "
+            f"smallest singular value {sv[-1]:.3e} (largest {sv[0]:.3e}); its zero eigenvalue "
+            "likely scattered past the clustering radius — raise the radius or supply the "
+            "spectrum explicitly"))
         return np.zeros_like(a)
-    return component(a, sp, sp.zero_position + 1, 0, cfg)
-
-
-def _order_check(sp: Spectrum, k: int, j: int) -> None:
-    sp._check_position(k)
-    nu = sp.indices[k - 1]
-    if not 0 <= j <= nu - 1:
-        raise PreconditionError(f"order j={j} out of range 0..{nu - 1} at position {k}")
+    return _component(a, sp, sp.zero_position + 1, 0, cfg)
 
 
 def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig) -> list:
@@ -373,7 +367,7 @@ def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig)
     component (any built on an overflowed power) is a conditioning failure.
     """
     lam = sp.eigenvalues[k - 1]
-    shifted = a - lam * identity(a.shape[0])
+    shifted = a if lam == 0 else a - lam * identity(a.shape[0])  # a - 0 I is a, bit for bit
     prefix = _prefix(shifted, sp, lam, sp.exponents[k - 1], cfg)
     out = [prefix]
     tail = shifted
@@ -394,10 +388,14 @@ def component(a, sp: Spectrum, k: int, j: int, cfg: ToleranceConfig | None = Non
     commuting with ``a``. Higher orders carry the nilpotent structure,
     scaled by 1/j!. Bit-identical to the same part of :func:`all_components`.
     """
-    a = as_matrix(a)
-    cfg = cfg or DEFAULT_TOLERANCES
-    _check_pair(a, sp)
-    _order_check(sp, k, j)
+    return _component(_check_pair(as_matrix(a), sp), sp, k, j, cfg or DEFAULT_TOLERANCES)
+
+
+def _component(a: np.ndarray, sp: Spectrum, k: int, j: int, cfg: ToleranceConfig) -> np.ndarray:
+    """Core of :func:`component` on a validated pair."""
+    sp._check_position(k)
+    if not 0 <= j <= sp.indices[k - 1] - 1:
+        raise PreconditionError(f"order j={j} out of range 0..{sp.indices[k - 1] - 1} at position {k}")
     if sp.exponents[k - 1] == 1:
         return _lagrange(a, sp, [k], cfg)[k]
     return _orders(a, sp, k, j, cfg)[j]
@@ -411,11 +409,9 @@ def all_components(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> Compo
     product. A spectrum without 0 is refused for a numerically singular
     matrix, as :func:`eigenprojection_zero` refuses it.
     """
-    a = as_matrix(a)
-    cfg = cfg or DEFAULT_TOLERANCES
-    _check_pair(a, sp)
+    a, cfg = _check_pair(as_matrix(a), sp), cfg or DEFAULT_TOLERANCES
     if sp.zero_position is None:
-        eigenprojection_zero(a, sp, cfg)
+        _projector_zero(a, sp, cfg)
     ones = [k for k in range(1, sp.s + 1) if sp.exponents[k - 1] == 1]
     simple = _lagrange(a, sp, ones, cfg) if ones else {}
     parts = {}
@@ -436,8 +432,9 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     """
     a = as_matrix(a)
     z = np.ascontiguousarray(z, dtype=complex)
+    fa, fz = frob(a), frob(z)
     return {
-        "idempotency": _inner_inverse(z),
-        "commutation": _commutation(a, z),
-        "annihilation": _annihilation(a, sp.ind_a, z),
+        "idempotency": _inner_inverse(z, None, fz),
+        "commutation": _commutation(a, z, fa, fz),
+        "annihilation": _annihilation(a, sp.ind_a, z, fa, fz),
     }

@@ -6,7 +6,7 @@ scaled products (:func:`_split`, :func:`_power`) take either dtype. This
 module centralizes input validation (squareness, finiteness), the tolerance
 policy, and the factorization-backed primitives (numerical rank, linear
 solve) everything else consumes. Both primitives judge singularity by the
-smallest singular value against the largest.
+smallest singular value against the largest, which a solve bounds first.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise PreconditionError(f"expected a nonempty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise PreconditionError("matrix entries must all be finite")
     return m
 
@@ -101,7 +101,7 @@ def frob(a) -> float:
 
 
 def _finite(m: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ConditioningError(f"{what} overflowed to non-finite entries")
     return m
 
@@ -188,51 +188,76 @@ def _ratio(num: float, den: float, e: int = 0) -> float:
     return math.ldexp(num, e)
 
 
-def _bilinear(x: np.ndarray, y: np.ndarray, form, e: int = 0) -> float:
+def _bilinear(x: np.ndarray, y: np.ndarray, form, e: int, fx: float, fy: float) -> float:
     """``frob(form(X, y)) / max(1, frob(X) * frob(y))`` for a bilinear ``form``
-    and ``X = x * 2**e``, taken on ``x`` and ``y`` split by their norms, so no
-    step overflows; scale-free once the norm product passes 1."""
-    fx, fy = frob(x), frob(y)
+    and ``X = x * 2**e``, taken on ``x`` and ``y`` split by their norms ``fx``
+    and ``fy``, so no step overflows; scale-free once the norm product passes 1."""
     (x, f), (y, g) = _split(x, fx), _split(y, fy)
     return _ratio(frob(form(x, y)), math.ldexp(fx, -f) * math.ldexp(fy, -g), e + f + g)
 
 
-def _inner_inverse(x: np.ndarray, y: np.ndarray | None = None) -> float:
+def _difference_ratio(xy: np.ndarray, r: np.ndarray, den: float, h: int, e: int) -> float:
+    """``frob(xy 2**h - r) 2**e / max(1, den 2**(h + e))`` for a product ``xy``
+    and reference term ``r`` of split operands ``2**h`` apart: the part of
+    smaller scale is shifted down to the other's, so no step overflows."""
+    # xy 2**h - r = 2**hi (xy 2**lo - r 2**-hi)
+    lo, hi = min(h, 0), max(h, 0)
+    if lo or hi:
+        with np.errstate(under="ignore"):
+            xy = np.ldexp(xy.view(float), lo).view(xy.dtype)
+            r = np.ldexp(r.view(float), -hi).view(r.dtype)
+    return _ratio(frob(xy - r), math.ldexp(den, lo), e + hi)
+
+
+def _inner_inverse(x: np.ndarray, y: np.ndarray | None = None, fx=None, fy=None) -> float:
     """``frob(X Y X - X) / max(1, frob(X)**2 frob(Y))``, with Y = I of norm 1
     when None (the idempotency of X). Like :func:`_bilinear`, it reads X and Y
-    split by their norms, and the part of smaller scale is shifted down to the
-    other's, so no step overflows; in range, no operand is rescaled."""
-    fx = frob(x)
+    split by their norms (``fx`` and ``fy`` when given), and the difference
+    through :func:`_difference_ratio`; in range, no operand is rescaled."""
+    fx = frob(x) if fx is None else fx
     x, f = _split(x, fx)
     fx = math.ldexp(fx, -f)
     if y is None:
         xyx, fy, g = x @ x, 1.0, 0
     else:
-        fy = frob(y)
+        fy = frob(y) if fy is None else fy
         y, g = _split(y, fy)
         xyx, fy = x @ y @ x, math.ldexp(fy, -g)
-    # X Y X - X = 2**(f + hi) (x y x 2**lo - x 2**-hi)
-    lo, hi = min(f + g, 0), max(f + g, 0)
-    if lo or hi:
-        with np.errstate(under="ignore"):
-            xyx = np.ldexp(xyx.view(float), lo).view(xyx.dtype)
-            x = np.ldexp(x.view(float), -hi).view(x.dtype)
-    return _ratio(frob(xyx - x), math.ldexp(fx ** 2 * fy, lo), f + hi)
+    # X Y X - X = 2**f (x y x 2**(f + g) - x)
+    return _difference_ratio(xyx, x, fx ** 2 * fy, f + g, f)
 
 
 def rank_numeric(a, cfg: ToleranceConfig | None = None) -> int:
     """Numerical rank: singular values above ``rank_rel_threshold`` times the largest.
 
     The threshold is relative, so the rank is scale-free; an exactly zero
-    matrix has rank 0, but a matrix of tiny nonzero noise does not. A matrix
-    whose imaginary parts are all zero gets a real SVD.
+    matrix has rank 0, but a matrix of tiny nonzero noise does not.
     """
-    a = as_matrix(a)
-    cfg = cfg or DEFAULT_TOLERANCES
-    sv = np.linalg.svd(a if a.imag.any() else a.real, compute_uv=False)
+    return _rank(as_matrix(a), (cfg or DEFAULT_TOLERANCES).rank_rel_threshold)
+
+
+def _rank(m: np.ndarray, tau: float) -> int:
+    """Core of :func:`rank_numeric`; a real array, or one with no imaginary part, gets a real SVD."""
+    sv = np.linalg.svd(m if m.imag.any() else m.real, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > cfg.rank_rel_threshold * sv[0]))
+    return int(np.count_nonzero(sv > tau * sv[0]))
+
+
+def _full_rank(a: np.ndarray, tau: float, refuse) -> np.ndarray:
+    """``inv(a)`` (NaN at an exact zero pivot) if ``s_min > tau s_max``, else raises ``refuse(sv)``.
+    ``1 / (||inv||_F ||a||_F) <= s_min / s_max`` (Golub & Van Loan, *Matrix Computations*, 2.3): where
+    it exceeds ``2 tau``, a margin rounding cannot cross, the inverse decides; the SVD decides the rest."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(a, np.nan)
+    sq = [float(np.vdot(m, m).real) for m in (a, inv)]  # squared norms, used in range only
+    if not (all(1e-300 < q < 1e300 for q in sq) and 4.0 * tau * tau * sq[0] * sq[1] < 1.0):
+        sv = np.linalg.svd(a, compute_uv=False)
+        if not sv[-1] > tau * sv[0]:
+            raise refuse(sv)
+    return inv
 
 
 def solve(a, b, cfg: ToleranceConfig | None = None) -> np.ndarray:
@@ -241,22 +266,22 @@ def solve(a, b, cfg: ToleranceConfig | None = None) -> np.ndarray:
     Raises :class:`SingularMatrixError`, carrying the smallest singular
     value, unless it is above ``rank_rel_threshold`` times the largest: the
     rule of :func:`rank_numeric`, so ``a`` is solved exactly when it has
-    full numerical rank.
+    full numerical rank, read first from the LU inverse (:func:`_full_rank`).
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    cfg = cfg or DEFAULT_TOLERANCES
     if a.shape[0] != b.shape[0]:
         raise PreconditionError(
             f"dimension mismatch: {a.shape[0]}x{a.shape[0]} system, {b.shape[0]}x{b.shape[0]} right-hand side"
         )
-    sv = np.linalg.svd(a, compute_uv=False)
-    if not sv[-1] > cfg.rank_rel_threshold * sv[0]:
-        raise SingularMatrixError(
-            f"matrix is numerically singular: smallest singular value {sv[-1]:.3e} "
-            f"(largest {sv[0]:.3e})",
-            pivot=float(sv[-1]),
-        )
-    x = np.linalg.solve(a, b)
+    return _solve(a, b, cfg or DEFAULT_TOLERANCES)
+
+
+def _solve(a: np.ndarray, b: np.ndarray | None, cfg: ToleranceConfig) -> np.ndarray:
+    """Core of :func:`solve`; ``b = None`` is I, solved first by the certificate's inverse (the same LU)."""
+    inv = _full_rank(a, cfg.rank_rel_threshold, lambda sv: SingularMatrixError(
+        f"matrix is numerically singular: smallest singular value {sv[-1]:.3e} (largest {sv[0]:.3e})",
+        pivot=float(sv[-1])))
+    x, b = (inv, identity(a.shape[0])) if b is None else (np.linalg.solve(a, b), b)
     x = x + np.linalg.solve(a, b - a @ x)
     return _finite(x, "linear solve")

@@ -10,12 +10,13 @@ so that positions are stable across runs.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import ClusteringError, ConvergenceError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, rank_numeric
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _rank, as_matrix, frob
 
 __all__ = ["Spectrum", "analyze", "spectrum_from_data"]
 
@@ -90,7 +91,7 @@ class Spectrum:
         s = self.s
         if s == 0:
             raise PreconditionError("spectrum must contain at least one eigenvalue")
-        if not np.isfinite(self.eigenvalues).all():
+        if not all(map(cmath.isfinite, self.eigenvalues)):
             raise PreconditionError("spectrum eigenvalues must be finite")
         if any(len(field) != s for field in (self.multiplicities, self.indices, self.exponents)):
             raise PreconditionError("spectrum fields must all have one entry per eigenvalue")
@@ -188,7 +189,8 @@ def _require_separated(values: np.ndarray, radius: float, message: str) -> None:
     The first such pair ``i < j`` in row-major order fills the two ``{}``
     fields of ``message``.
     """
-    close = np.triu(np.abs(values[:, None] - values) <= 2.0 * radius, 1)
+    close = np.abs(values[:, None] - values) <= 2.0 * radius
+    close.flat[:: len(values) + 1] = False  # symmetric: the first pair left is above the diagonal
     if close.any():
         i, j = divmod(int(close.argmax()), len(values))
         raise ClusteringError(message.format(values[i], values[j]))
@@ -243,10 +245,11 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
     # min-label propagation: each value ends labelled by the smallest index
     # of its linked component
     close = np.abs(vals[:, None] - vals) <= 2.0 * radius
-    labels = np.arange(vals.size)
-    while not np.array_equal(linked := np.where(close, labels, labels[:, None]).min(axis=1), labels):
-        labels = linked
-    ids = np.cumsum(labels == np.arange(vals.size))[labels] - 1
+    ids = labels = np.arange(vals.size)
+    if np.count_nonzero(close) > vals.size:  # some value has a neighbour
+        while (labels != (linked := np.where(close, labels, labels[:, None]).min(axis=1))).any():
+            labels = linked
+        ids = np.cumsum(labels == np.arange(vals.size))[labels] - 1
     counts = np.bincount(ids)
     # each part divided on its own: numpy's complex division by a count
     # multiplies by its reciprocal, which is not the rounded mean
@@ -298,7 +301,7 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
             r = 0
         else:
             power = power / norm
-            r = rank_numeric(power, cfg)
+            r = _rank(power, cfg.rank_rel_threshold)
         if r == prev_rank:
             return k
         prev_rank = r
@@ -347,7 +350,7 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
                     f"{m}; the clustering radius is likely too small"
                 )
             indices.append(nu)
-    return Spectrum(values, mults, indices, _exponents(exponents, indices, mults))
+    return Spectrum(values.tolist(), mults.tolist(), indices, _exponents(exponents, indices, mults))
 
 
 def spectrum_from_data(
@@ -380,17 +383,18 @@ def spectrum_from_data(
         raise PreconditionError(f"multiplicities sum to {sum(mults)}, expected {n}")
     if not np.isfinite(values).all():
         raise PreconditionError("spectrum eigenvalues must be finite")
-    values = np.where(np.abs(values) <= effective_cluster_radius(values, cfg), 0j, values)
+    radius = effective_cluster_radius(values, cfg)
+    values = np.where(np.abs(values) <= radius, 0j, values)
     order = canonical_order(values)
     values = values[order]
     _require_separated(
         values,
-        effective_cluster_radius(values, cfg),
+        radius,  # the snap spared the largest value, or zeroed all and any radius refuses them
         "eigenvalues {} and {} are closer than twice the clustering radius; lower the "
         "radius or supply the spectrum explicitly",
     )
     mults, inds = [mults[i] for i in order], [inds[i] for i in order]
-    return Spectrum(values, mults, inds, _exponents(exponents, inds, mults))
+    return Spectrum(values.tolist(), mults, inds, _exponents(exponents, inds, mults))
 
 
 def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:

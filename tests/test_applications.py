@@ -120,19 +120,24 @@ class TestDrazin:
         assert np.array_equal(a_d, np.diag([0.0, 0.0, 1 / scale]))
         assert max(drazin_residuals(a, a_d, sp.ind_a).values()) <= 1e-15
 
-    def test_nonsingular_spectrum_costs_one_svd(self, monkeypatch):
+    def test_nonsingular_spectrum_costs_one_inverse_and_one_refinement_solve(self, monkeypatch):
+        # the LU inverse certifies the rank and is the first solution: no SVD
         calls = []
-        svd = np.linalg.svd
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
 
         a = np.diag([1.0, 2.0, 3.0])
         sp = analyze(a)
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        for name in ("svd", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
         assert_allclose(drazin_inverse(a, sp), np.diag([1.0, 1 / 2, 1 / 3]), rtol=1e-15)
-        assert len(calls) == 1
+        assert calls == ["inv", "solve"]
 
     def test_lost_zero_eigenvalue_is_refused(self):
         from corpus import lost_zero_matrix
@@ -175,6 +180,39 @@ class TestResidualsAtAnyScale:
             warnings.simplefilter("error")
             got = _inner_inverse(x * eye, None if y is None else y * eye)
         assert got == pytest.approx(want, rel=1e-15)
+
+    def test_overflowing_products_read_the_exact_ratio(self):
+        # P = L = A = A^D = 1e200 I, n = 2: ||P L - L|| / (||P|| ||L||) and
+        # ||A^2 A^D - A|| / (||A^2|| ||A^D||) are each (1 - 1e-200) / sqrt(2)
+        # and (1 - 1e-400) / sqrt(2): 2**-0.5 to working accuracy
+        big = 1e200 * np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            absorption = cesaro_residuals(big, big)["absorption"]
+            power = drazin_residuals(big, big, 1)["power_identity"]
+        assert absorption == pytest.approx(2 ** -0.5, rel=1e-15)
+        assert power == pytest.approx(2 ** -0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [-600, -200, 200, 600])
+    def test_exact_drazin_pair_at_any_scale_reads_rounding(self, t):
+        # A = 2**t diag(0, 1, 2), A^D = 2**-t diag(0, 1, 1/2), index 1
+        a, a_d = 2.0 ** t * np.diag([0.0, 1.0, 2.0]), 2.0 ** -t * np.diag([0.0, 1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = drazin_residuals(a, a_d, 1)
+        assert max(residuals.values()) == 0.0
+
+    def test_in_range_absorption_and_power_identity_keep_the_unsplit_bits(self):
+        rng = np.random.default_rng(53)
+        for t in range(-30, 31, 3):
+            p = 2.0 ** t * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+            limit = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            want = _ratio(frob(p @ limit - limit), frob(p) * frob(limit))
+            assert cesaro_residuals(p, limit)["absorption"] == want
+            for k in range(3):
+                power = np.linalg.matrix_power(p, k)
+                want = _ratio(frob(power @ p @ limit - power), frob(power @ p) * frob(limit))
+                assert drazin_residuals(p, limit, k)["power_identity"] == want
 
     def test_in_range_operands_keep_the_unsplit_bits(self):
         rng = np.random.default_rng(49)

@@ -1,6 +1,7 @@
 """Matrix-core primitives: validation, powers, rank, solve, norm."""
 
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from speccomp import (
     as_matrix,
     frob,
 )
-from speccomp.linalg import _ratio, identity, mat_pow, rank_numeric, solve
+from speccomp.linalg import _full_rank, _ratio, identity, mat_pow, rank_numeric, solve
 
 NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -167,6 +168,74 @@ class TestSolve:
             with pytest.raises(SingularMatrixError) as excinfo:
                 solve(a, identity(a.shape[0]))
             assert excinfo.value.pivot == np.linalg.svd(a, compute_uv=False)[-1]
+
+
+class TestRankCertificate:
+    """Full numerical rank is certified by the LU inverse's norm bound,
+    ``1 / (||A^-1||_F ||A||_F) <= s_min / s_max``, at twice the threshold;
+    the SVD decides wherever the bound does not, with the same pivot."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 33, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_inverse_is_the_solve_of_the_identity_bit_for_bit(self, n, dtype):
+        # a nonsingular Drazin inverse takes the certificate's inverse as the
+        # first solution of A X = I
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = rng.normal(size=(n, n))
+            if dtype is complex:
+                a = a + 1j * rng.normal(size=(n, n))
+            assert np.linalg.inv(a).tobytes() == np.linalg.solve(a, np.eye(n, dtype=dtype)).tobytes()
+
+    @staticmethod
+    def _matrices(n, ratio):
+        """``U diag(sigma) V*`` and the graded diagonal ``diag(sigma)``, with
+        sigma geometric from 1 down to ``ratio``."""
+        rng = np.random.default_rng(n)
+        sigma = np.geomspace(1.0, ratio, n)
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return (u * sigma) @ v.conj().T, np.diag(sigma).astype(complex)
+
+    @pytest.mark.parametrize("cfg", [ToleranceConfig(), ToleranceConfig(eig_cluster_radius=1e-12)])
+    @pytest.mark.parametrize("n", [2, 8, 33])
+    def test_certificate_and_svd_reach_the_same_decision(self, cfg, n):
+        # at s_min / s_max = tau * {1/4, 1/2, 1, 2, 4, n, 2n}, for the
+        # threshold of a solve and that of the projector at 0
+        from speccomp import Spectrum, eigenprojection_zero
+
+        nonzero = Spectrum([1.0], [n], [1], [1])
+        decided = set()
+        for tau in (cfg.rank_rel_threshold, min(cfg.rank_rel_threshold, cfg.eig_cluster_radius)):
+            for factor in (0.25, 0.5, 1, 2, 4, n, 2 * n):
+                for a in self._matrices(n, factor * tau):
+                    sv = np.linalg.svd(a, compute_uv=False)
+                    full = bool(sv[-1] > tau * sv[0])
+                    decided.add(full)
+                    with nullcontext() if full else pytest.raises(SingularMatrixError):
+                        _full_rank(a, tau, lambda sv: SingularMatrixError("refused", pivot=float(sv[-1])))
+                    singular = not sv[-1] > cfg.rank_rel_threshold * sv[0]
+                    with pytest.raises(SingularMatrixError) if singular else nullcontext():
+                        solve(a, identity(n), cfg)
+                    lost = not sv[-1] > min(cfg.rank_rel_threshold, cfg.eig_cluster_radius) * sv[0]
+                    with pytest.raises(ConditioningError) if lost else nullcontext():
+                        eigenprojection_zero(a, nonzero, cfg)
+        assert decided == {True, False}  # both sides of the thresholds were reached
+
+    def test_exactly_singular_matrix_reports_the_svd_pivot(self):
+        from speccomp import Spectrum, eigenprojection_zero
+
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(a)
+        pivot = np.linalg.svd(a.astype(complex), compute_uv=False)[-1]
+        with pytest.raises(SingularMatrixError) as excinfo:
+            solve(a, identity(2))
+        assert excinfo.value.pivot == pivot
+        assert f"smallest singular value {pivot:.3e}" in str(excinfo.value)
+        with pytest.raises(ConditioningError) as excinfo:
+            eigenprojection_zero(a, Spectrum([1.0, 2.0], [1, 1], [1, 1], [1, 1]))
+        assert f"smallest singular value {pivot:.3e}" in str(excinfo.value)
 
 
 @settings(max_examples=40, deadline=None)
