@@ -134,7 +134,8 @@ def _run(args) -> int:
                 f"cannot compare a {matrix.shape[0]}x{matrix.shape[0]} matrix against "
                 f"a {reference.shape[0]}x{reference.shape[0]} reference"
             )
-        deviation = float(np.max(np.abs(matrix - reference)))
+        with np.errstate(over="ignore"):  # a deviation past the float range reads inf
+            deviation = float(np.max(np.abs(matrix - reference)))
         payload = _base_payload(args, cfg)
         payload["against"] = args.against
         payload["max_abs_deviation"] = deviation

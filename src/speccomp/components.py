@@ -2,9 +2,10 @@
 
 The eigenprojection at 0 is the product over the nonzero eigenvalues of
 ``(I - (A/lam_i)^u)^(u_i)``, and exactly 0 when ``u = ind A = 0``. The
-order-j component at ``lam_k`` comes from the same product built for the
-shifted matrix ``A - lam_k I`` — with inner power ``u_k`` and the remaining
-eigenvalues shifted — times the trailing ``(1/j!) (A - lam_k I)^j`` factor.
+projector at ``lam_k`` is the same product built for the shifted matrix
+``A - lam_k I``, with inner power ``u_k`` and the remaining eigenvalues
+shifted. The paper's order-j component ``(1/j!) (A - lam_k I)^j Z_k0`` is
+climbed to one product per order, ``Z_kj = Z_k,j-1 (A - lam_k I) / j``.
 Where ``u_k = 1`` each factor is ``(A - lam_i I)^(u_i)``, which does not
 depend on k, over a scalar, so all those projectors share one sweep of
 prefix and suffix products (:func:`_lagrange`); for a real matrix that
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _full_rank, _inner_inverse, _mat_pow,
-                     _power, _ratio, _split, as_matrix, frob, identity)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _full_rank, _inner_inverse, _power,
+                     _ratio, _split, as_matrix, frob, identity)
 from .spectrum import Spectrum
 
 __all__ = [
@@ -146,28 +147,6 @@ def _check_pair(a: np.ndarray, sp: Spectrum) -> np.ndarray:
             f"got {a.shape[0]}x{a.shape[0]}"
         )
     return a
-
-
-def _prefix(shifted: np.ndarray, sp: Spectrum, lam: complex, inner: int, cfg: ToleranceConfig) -> np.ndarray:
-    """The projector-at-zero product of ``shifted = A - lam I``.
-
-    Product of ``(I - (shifted / (lam_i - lam))^inner)^(u_i)`` over the
-    eigenvalues ``lam_i != lam``, in ascending position order; I when there
-    are none. Each factor is powered in stages, never expanded as a
-    polynomial. Each factor and the finished product of two or more is
-    guarded once; an overflowing quotient is a conditioning failure.
-    """
-    others = [(lam_i, outer) for lam_i, outer in zip(sp.eigenvalues, sp.exponents) if lam_i != lam]
-    z = eye = identity(shifted.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for count, (lam_i, outer) in enumerate(others):
-            quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
-            factor = _mat_pow(eye - _mat_pow(quotient, inner), outer)
-            _guard(frob(factor), cfg, "product factor")
-            z = factor if count == 0 else z @ factor
-    if len(others) > 1:
-        _guard(frob(z), cfg, "product of factors")
-    return z
 
 
 def _times(x, y):
@@ -359,25 +338,32 @@ def _projector_zero(a: np.ndarray, sp: Spectrum, cfg: ToleranceConfig) -> np.nda
 
 
 def _orders(a: np.ndarray, sp: Spectrum, k: int, top: int, cfg: ToleranceConfig) -> list:
-    """``[Z_k0, ..., Z_k,top]`` for a position whose exponent is 2 or more:
-    one product prefix times ``(1/j!) (A - lam_k I)^j``.
+    """``[Z_k0, ..., Z_k,top]`` for a position whose exponent ``u_k`` is 2 or more.
 
-    The prefix is shared across j and the power is a running product, which
-    keeps all components of one eigenvalue consistent. An overflowing
-    component (any built on an overflowed power) is a conditioning failure.
+    ``Z_k0`` is the product of ``(I - ((A - lam_k I) / (lam_i - lam_k))^(u_k))^(u_i)``
+    over the eigenvalues ``lam_i != lam_k``, in ascending position order; I
+    when there are none. Each factor is powered by repeated squaring, never
+    expanded as a polynomial. Each factor and the finished product of two or
+    more is guarded once; an overflowing quotient is a conditioning failure.
+    The higher orders climb the ladder ``Z_kj = Z_k,j-1 (A - lam_k I) / j``,
+    one product each, and an order that overflows is a conditioning failure.
     """
     lam = sp.eigenvalues[k - 1]
     shifted = a if lam == 0 else a - lam * identity(a.shape[0])  # a - 0 I is a, bit for bit
-    prefix = _prefix(shifted, sp, lam, sp.exponents[k - 1], cfg)
-    out = [prefix]
-    tail = shifted
-    factorial = 1.0
+    inner = sp.exponents[k - 1]
+    others = [(lam_i, outer) for lam_i, outer in zip(sp.eigenvalues, sp.exponents) if lam_i != lam]
+    z = eye = identity(a.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
+        for count, (lam_i, outer) in enumerate(others):
+            quotient = _finite(shifted / (lam_i - lam), "eigenvalue quotient")
+            factor = np.linalg.matrix_power(eye - np.linalg.matrix_power(quotient, inner), outer)
+            _guard(frob(factor), cfg, "product factor")
+            z = factor if count == 0 else z @ factor
+        if len(others) > 1:
+            _guard(frob(z), cfg, "product of factors")
+        out = [z]
         for j in range(1, top + 1):
-            if j > 1:
-                tail = tail @ shifted
-                factorial *= j
-            out.append(_finite(prefix @ tail / factorial, f"order-{j} component"))
+            out.append(_finite(out[-1] @ shifted / j, f"order-{j} component"))
     return out
 
 

@@ -106,39 +106,6 @@ def _finite(m: np.ndarray, what: str) -> np.ndarray:
     return m
 
 
-def mat_pow(a, e) -> np.ndarray:
-    """``a`` raised to a nonnegative integer power, by repeated squaring.
-
-    A power that overflows is a conditioning failure.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_mat_pow(as_matrix(a), e), "matrix power")
-
-
-def _mat_pow(m: np.ndarray, e) -> np.ndarray:
-    """Core of :func:`mat_pow` for a finite complex square array, which it
-    neither copies nor modifies: ``m ** 1`` is ``m`` itself.
-
-    Checks the exponent only: the component kernel guards the result's norm
-    itself. The first factor of the result is taken as it is rather than
-    multiplied onto the identity.
-    """
-    if int(e) != e or e < 0:
-        raise PreconditionError(f"exponent must be a nonnegative integer, got {e!r}")
-    e = int(e)
-    if e == 0:
-        return identity(m.shape[0])
-    result = None
-    base = m
-    while e:
-        if e & 1:
-            result = base if result is None else result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
-
-
 # A carried matrix is rescaled once its size leaves 2**+-64: products of two
 # stay far inside the floating-point range, and most matrices are never touched.
 _SCALE_RANGE = 64

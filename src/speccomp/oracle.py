@@ -24,7 +24,7 @@ import numpy as np
 from .components import ComponentSet, _check_pair, _guard
 from .documents import document_payload
 from .exceptions import ConditioningError, PreconditionError, SingularMatrixError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, mat_pow, solve
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix, frob, identity, solve
 from .spectrum import Spectrum, canonical_order, spectrum_from_data
 
 __all__ = [
@@ -174,7 +174,7 @@ def _generalized_nullspace(a: np.ndarray, lam: complex, nu: int, cfg: ToleranceC
     if norm <= cfg.rank_rel_threshold * max(1.0, float(np.linalg.norm(a, "fro"))):
         # a is lam * I up to the noise of its own construction
         return identity(n)
-    _, sv, vh = np.linalg.svd(mat_pow(shifted / norm, nu))
+    _, sv, vh = np.linalg.svd(np.linalg.matrix_power(shifted / norm, nu))
     if sv[0] <= cfg.rank_rel_threshold:
         rank = 0
     else:

@@ -189,7 +189,8 @@ def _require_separated(values: np.ndarray, radius: float, message: str) -> None:
     The first such pair ``i < j`` in row-major order fills the two ``{}``
     fields of ``message``.
     """
-    close = np.abs(values[:, None] - values) <= 2.0 * radius
+    with np.errstate(over="ignore"):  # an overflowed distance is inf: not close
+        close = np.abs(values[:, None] - values) <= 2.0 * radius
     close.flat[:: len(values) + 1] = False  # symmetric: the first pair left is above the diagonal
     if close.any():
         i, j = divmod(int(close.argmax()), len(values))
@@ -244,7 +245,8 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
 
     # min-label propagation: each value ends labelled by the smallest index
     # of its linked component
-    close = np.abs(vals[:, None] - vals) <= 2.0 * radius
+    with np.errstate(over="ignore"):  # an overflowed distance is inf: no link
+        close = np.abs(vals[:, None] - vals) <= 2.0 * radius
     ids = labels = np.arange(vals.size)
     if np.count_nonzero(close) > vals.size:  # some value has a neighbour
         while (labels != (linked := np.where(close, labels, labels[:, None]).min(axis=1))).any():

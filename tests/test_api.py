@@ -57,7 +57,7 @@ BENCHMARK_NAMES = [
 
 # helpers that left the top level and stay importable from their modules
 MODULE_ONLY = {
-    "linalg": ["identity", "mat_pow", "rank_numeric", "solve"],
+    "linalg": ["identity", "rank_numeric", "solve"],
     "spectrum": [
         "cluster_spectrum",
         "effective_cluster_radius",

@@ -307,6 +307,15 @@ class TestExitCodes:
         assert payload["passed"] is False
         assert abs(payload["max_abs_deviation"] - 0.5) < 1e-15
 
+    def test_verify_deviation_past_the_float_range_is_inf(self, tmp_path, capsys):
+        plus = write_json(tmp_path / "plus.json", document_payload(np.array([[1e308]])))
+        minus = write_json(tmp_path / "minus.json", document_payload(np.array([[-1e308]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify", "--input", plus, "--against", minus])
+        assert (code, err) == (4, "deviation inf exceeds verify_tol 1.000e-08\n")
+        assert json.loads(out)["max_abs_deviation"] == np.inf
+
     def test_verify_match_is_0(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", DIAG02)
         code, out, _ = run(capsys, ["verify", "--input", a, "--against", a])
@@ -457,12 +466,30 @@ class TestExitCodes:
         ratio = write_json(
             tmp_path / "ratio.json", {"n": 2, "entries": [[1e300, 0], [0, 0], [0, 0], [1e-10, 0]]}
         )
+        # the distance between these eigenvalues overflows: they are not close
+        top = write_json(tmp_path / "top.json", document_payload(np.diag([1.7e308, -1.7e308])))
         for command, doc in (("spectrum", huge), ("projector", huge), ("drazin", huge),
-                             ("projector", ratio)):
+                             ("projector", ratio), ("spectrum", top), ("projector", top), ("drazin", top)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, _, err = run(capsys, [command, "--input", doc])
             assert (code, err) == (0, ""), command
+
+    @pytest.mark.parametrize("big", [3e160, 1e300])
+    def test_order_2_beside_a_huge_eigenvalue_exits_0(self, tmp_path, capsys, big):
+        # (A - 0 I)^2 overflows at big; Z_22 = N^2 / 2 does not
+        a = np.zeros((4, 4))
+        a[0, 0], a[1, 2], a[2, 3] = big, 1.0, 1.0
+        records = [{"value": complex(big), "multiplicity": 1, "index": 1},
+                   {"value": 0j, "multiplicity": 3, "index": 3}]
+        doc = write_json(tmp_path / "huge.json", document_payload(a, records))
+        for policy in ("minimal", "worst-case"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, ["components", "--input", doc, "--use-given-spectrum",
+                                              "--exponents", policy])
+            assert (code, err) == (0, ""), policy
+            assert set(json.loads(out)["residuals"].values()) == {0.0}, policy
 
 
 class TestDocumentValidation:

@@ -82,12 +82,12 @@ class TestEigenprojectionZero:
     def test_rank_complement_identity(self):
         # rank Z = n - rank A^indA, checked where both sides have honest
         # nonzero scales (0 an eigenvalue but A not nilpotent)
-        from speccomp.linalg import mat_pow, rank_numeric
+        from speccomp.linalg import rank_numeric
 
         spec = JordanSpec([(0.0, [2, 1]), (-2.0, [2])], seed=3)
         a, _, sp = build_case(spec)
         z = eigenprojection_zero(a, sp)
-        assert rank_numeric(z) == a.shape[0] - rank_numeric(mat_pow(a, sp.ind_a))
+        assert rank_numeric(z) == a.shape[0] - rank_numeric(np.linalg.matrix_power(a, sp.ind_a))
 
     def test_projection_identities(self):
         from speccomp import eigenprojection_residuals
@@ -474,7 +474,7 @@ def _scaled_refusals(cases):
 class TestHighOrders:
     @pytest.mark.parametrize("shift", [0.0, 2.0])
     def test_jordan_block_of_index_24(self, shift):
-        # order j = 23 needs 23!, which float64 holds to within one ulp
+        # order j = 23 divides by 1, 2, ..., 23 in turn, one rounding each
         n = 24
         nilpotent = np.eye(n, k=1, dtype=complex)
         a = shift * np.eye(n) + nilpotent
@@ -483,6 +483,17 @@ class TestHighOrders:
         for j in range(n):
             expected = np.eye(n, k=j) / math.factorial(j)
             assert_allclose(cs.part(1, j), expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("big", [3e160, 1e300])
+    @pytest.mark.parametrize("policy", ["minimal", "worst_case"])
+    def test_order_2_beside_a_huge_eigenvalue(self, big, policy):
+        # diag(big, J_3(0)): A^2 overflows at big, yet Z_22 = N^2 / 2 is exact,
+        # because the ladder multiplies A onto Z_21, which is 0 there
+        a = np.zeros((4, 4))
+        a[0, 0], a[1, 2], a[2, 3] = big, 1.0, 1.0
+        cs = all_components(a, spectrum_from_data([big, 0.0], [1, 3], [1, 3], exponents=policy))
+        assert np.array_equal(cs.part(2, 2), np.eye(4, k=2) * [0, 0, 0, 0.5])
+        assert max(cs.residuals().values()) <= ToleranceConfig().verify_tol
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Matrix-core primitives: validation, powers, rank, solve, norm."""
+"""Matrix-core primitives: validation, rank, solve, norm."""
 
 import warnings
 from contextlib import nullcontext
@@ -17,19 +17,7 @@ from speccomp import (
     as_matrix,
     frob,
 )
-from speccomp.linalg import _full_rank, _ratio, identity, mat_pow, rank_numeric, solve
-
-NILPOTENT = np.array([[0, 1], [0, 0]], dtype=complex)
-
-
-@st.composite
-def square_int_matrices(draw, n_min=2, n_max=5):
-    n = draw(st.integers(n_min, n_max))
-    cells = st.integers(-3, 3)
-    entries = draw(
-        st.lists(st.tuples(cells, cells), min_size=n * n, max_size=n * n)
-    )
-    return np.array([complex(a, b) for a, b in entries]).reshape(n, n)
+from speccomp.linalg import _full_rank, _ratio, identity, rank_numeric, solve
 
 
 class TestValidation:
@@ -52,50 +40,6 @@ class TestValidation:
             ToleranceConfig(eig_cluster_radius=0.0)
         with pytest.raises(PreconditionError):
             ToleranceConfig(verify_tol=-1e-8)
-
-
-class TestMatPow:
-    def test_zeroth_power_is_identity(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 3)).astype(complex)
-        assert_allclose(mat_pow(a, 0), identity(3))
-
-    def test_nilpotent_square(self):
-        assert_allclose(mat_pow(NILPOTENT, 2), np.zeros((2, 2)))
-
-    def test_diagonal_power(self):
-        assert_allclose(mat_pow(np.diag([2.0, 3.0]), 5), np.diag([32.0, 243.0]))
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(PreconditionError):
-            mat_pow(identity(2), -1)
-
-    def test_matches_squaring_from_the_identity(self):
-        def reference(a, e):
-            result = np.eye(a.shape[0], dtype=complex)
-            base = a
-            while e:
-                if e & 1:
-                    result = result @ base
-                e >>= 1
-                if e:
-                    base = base @ base
-            return result
-
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        for e in range(10):
-            assert np.array_equal(mat_pow(a, e), reference(a, e)), e
-
-    def test_invalid_input_rejected(self):
-        with pytest.raises(PreconditionError):
-            mat_pow(identity(2), 1.5)
-        with pytest.raises(PreconditionError):
-            mat_pow([[np.nan, 0], [0, 1]], 2)
-        with pytest.raises(PreconditionError):
-            mat_pow([[np.inf, 0], [0, 1]], 1)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
-            mat_pow(1e200 * identity(2), 2)
 
 
 class TestRank:
@@ -236,24 +180,6 @@ class TestRankCertificate:
         with pytest.raises(ConditioningError) as excinfo:
             eigenprojection_zero(a, Spectrum([1.0, 2.0], [1, 1], [1, 1], [1, 1]))
         assert f"smallest singular value {pivot:.3e}" in str(excinfo.value)
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_int_matrices())
-def test_power_addition_law(a):
-    left = mat_pow(a, 2) @ mat_pow(a, 3)
-    right = mat_pow(a, 5)
-    scale = max(1.0, frob(a) ** 5)
-    assert frob(left - right) <= 1e-8 * scale
-
-
-@settings(max_examples=40, deadline=None)
-@given(square_int_matrices(), st.integers(0, 8))
-def test_split_power_matches_direct(a, e):
-    direct = mat_pow(a, e)
-    rebuilt = mat_pow(a, e // 2) @ mat_pow(a, e - e // 2)
-    scale = max(1.0, frob(a) ** max(e, 1))
-    assert frob(direct - rebuilt) <= 1e-8 * scale
 
 
 class TestFrob:

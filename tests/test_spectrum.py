@@ -479,6 +479,11 @@ class TestHugeEntries:
             sp = analyze(1e200 * np.array([[1, 1], [0, 1]], dtype=complex))
         assert sp.indices == (2,)
 
+    def test_distances_past_the_float_range_warn_nothing(self):
+        # 1.7e308 - (-1.7e308) overflows: two values that far apart are not close
+        sp = analyze(np.diag([1.7e308, -1.7e308]))
+        assert sp.eigenvalues == (1.7e308, -1.7e308)
+
 
 class TestSelfChecked:
     """A Spectrum checks the product formulas' hypotheses when it is built."""
