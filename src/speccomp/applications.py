@@ -4,15 +4,16 @@ inverse, and limiting matrices of row-stochastic chains."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .components import ComponentSet, _check_pair, _commutation, _component, _projector_zero
+from .components import ComponentSet, _check_pair, _component, _projector_zero
 from .exceptions import PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _difference_ratio, _inner_inverse, _power, _solve, _split,
-                     as_matrix, frob, identity)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _carry, _pair, _power, _residual, _solve, as_matrix, frob,
+                     identity)
 from .spectrum import Spectrum, analyze, effective_cluster_radius, replace_eigenvalue
 
 __all__ = [
@@ -119,20 +120,20 @@ def drazin_residuals(a, a_d, ind_a: int) -> dict:
     """Residuals of the three Drazin axioms, scaled like the component checks.
 
     The axioms: ``A^D A A^D = A^D``, ``A A^D = A^D A``, and
-    ``A^(k+1) A^D = A^k`` with k the index of eigenvalue 0, read on
-    ``A = M 2**t``, the carried power of M and ``A^D`` split, at any scale.
+    ``A^(k+1) A^D = A^k`` with k = ``ind_a``, a nonnegative integer: the
+    index of eigenvalue 0. Each is read on A, its carried power and ``A^D``
+    carried once, at any scale.
     """
-    a = as_matrix(a)
-    a_d = as_matrix(a_d)
-    fa, fd = frob(a), frob(a_d)
-    (m, t), (d, g) = _split(a), _split(a_d, fd)
-    p, s = _power(m, ind_a)
-    q = p @ m
+    a, a_d = _pair(a, a_d)
+    if not (isinstance(ind_a, numbers.Integral) and ind_a >= 0):
+        raise PreconditionError(f"ind_a must be a nonnegative integer, got {ind_a!r}")
+    (x, e, fx), (d, g, fd), k = _carry(a), _carry(a_d), int(ind_a)
+    p, s = _power(x, k)
+    q = p @ x
     return {
-        "inner_inverse": _inner_inverse(a_d, a, fd, fa),
-        "commutation": _commutation(a, a_d, fa, fd),
-        # A^(k+1) A^D - A^k = 2**(s + k t) (q d 2**(t + g) - p)
-        "power_identity": _difference_ratio(q @ d, p, frob(q) * math.ldexp(fd, -g), t + g, s + ind_a * t),
+        "inner_inverse": _residual(d @ x @ d, 2 * g + e, fd ** 2 * fx, d, g),
+        "commutation": _residual(x @ d - d @ x, e + g, fx * fd),
+        "power_identity": _residual(q @ d, s + (k + 1) * e + g, frob(q) * fd, p, s + k * e),
     }
 
 
@@ -142,15 +143,12 @@ def cesaro_residuals(p, limit) -> dict:
     Idempotency, two-sided commutation/absorption against P, row sums of 1,
     and entry nonnegativity (reported as the worst negative excursion).
     """
-    p = as_matrix(p)
-    limit = as_matrix(limit)
-    fp, fl = frob(p), frob(limit)
-    (x, f), (y, g) = _split(p, fp), _split(limit, fl)
+    p, limit = _pair(p, limit)
+    (x, f, fx), (y, g, fy) = _carry(p), _carry(limit)
     return {
-        "idempotency": _inner_inverse(limit, None, fl),
-        "commutation": _commutation(p, limit, fp, fl),
-        # P L - L = 2**g (x y 2**f - y)
-        "absorption": _difference_ratio(x @ y, y, math.ldexp(fp, -f) * math.ldexp(fl, -g), f, g),
+        "idempotency": _residual(y @ y, 2 * g, fy ** 2, y, g),
+        "commutation": _residual(x @ y - y @ x, f + g, fx * fy),
+        "absorption": _residual(x @ y, f + g, fx * fy, y, g),
         "row_sums": float(np.max(np.abs(limit.sum(axis=1) - 1.0))),
         "negativity": float(max(0.0, -np.min(limit.real))),
     }

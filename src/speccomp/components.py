@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConditioningError, PreconditionError
-from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _bilinear, _finite, _full_rank, _inner_inverse, _power,
-                     _ratio, _split, as_matrix, frob, identity)
+from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _carry, _finite, _full_rank, _pair, _power, _ratio,
+                     _residual, _split, as_matrix, frob, identity)
 from .spectrum import Spectrum
 
 __all__ = [
@@ -65,7 +65,8 @@ class ComponentSet:
 
         Each residual is a Frobenius norm scaled by max(1, the norms of the
         matrices entering the identity), so a value near machine precision
-        means the identity holds to working accuracy regardless of scale:
+        means the identity holds to working accuracy regardless of scale. Each
+        operand is carried once and each product read by ``linalg._residual``:
 
         - ``idempotency``:            Z_k0 @ Z_k0 = Z_k0
         - ``commutation``:            A @ Z_kj = Z_kj @ A
@@ -75,38 +76,35 @@ class ComponentSet:
         - ``ladder``:                 (A - lam_k I) @ Z_kj = (j+1) Z_k,j+1
         - ``reconstruction``:         A = sum_k (lam_k Z_k0 + Z_k1)
         """
-        a = self.source
-        sp = self.spectrum
-        n = sp.source_dim
-        eye = identity(n)
+        a, sp = self.source, self.spectrum
+        eye = identity(sp.source_dim)
         proj = {k: self.parts[(k, 0)] for k in range(1, sp.s + 1)}
         fa, norms = frob(a), {key: frob(z) for key, z in self.parts.items()}
+        (x, ea, fx), carried = _carry(a, fa), {key: _carry(z, norms[key]) for key, z in self.parts.items()}
 
         total = sum(proj.values())
-        resolution = _ratio(frob(total - eye), max(norms[(k, 0)] for k in proj))
-        orth = _worst(_ratio(frob(z @ (total - z)), norms[(k, 0)] * frob(total - z)) for k, z in proj.items())
-        annihilation = []
-        ladder = []
-        recon_sum = np.zeros((n, n), dtype=complex)
-        for k in range(1, sp.s + 1):
-            lam = sp.eigenvalues[k - 1]
-            nu = sp.indices[k - 1]
-            shifted = a - lam * eye
-            fs = frob(shifted)
-            annihilation.append(_annihilation(shifted, nu, proj[k], fs, norms[(k, 0)]))
+        idempotency, orthogonality, annihilation, ladder = [], [], [], []
+        recon_sum = np.zeros_like(eye)
+        for k in proj:
+            (z, e, f), (w, g, fw) = carried[(k, 0)], _carry(total - proj[k])
+            idempotency.append(_residual(z @ z, 2 * e, f ** 2, z, e))
+            orthogonality.append(_residual(z @ w, e + g, f * fw))
+            lam, nu = sp.eigenvalues[k - 1], sp.indices[k - 1]
+            shifted = y, es, fs = _carry(a - lam * eye)
+            annihilation.append(_annihilation(shifted, nu, carried[(k, 0)]))
             for j in range(nu - 1):
-                zj, zj1 = self.parts[(k, j)], self.parts[(k, j + 1)]
-                ladder.append(_ratio(frob(shifted @ zj - (j + 1) * zj1), fs * norms[(k, j)]))
+                (zj, ej, fj), (zj1, ej1, _) = carried[(k, j)], carried[(k, j + 1)]
+                ladder.append(_residual(y @ zj, es + ej, fs * fj, (j + 1) * zj1, ej1))
             recon_sum += lam * proj[k]
             if nu > 1:
                 recon_sum += self.parts[(k, 1)]
         reconstruction = _ratio(frob(a - recon_sum), fa)
 
         return {
-            "idempotency": _worst(_inner_inverse(z, None, norms[(k, 0)]) for k, z in proj.items()),
-            "commutation": _worst(_commutation(a, z, fa, norms[key]) for key, z in self.parts.items()),
-            "resolution_of_identity": resolution,
-            "orthogonality": orth,
+            "idempotency": _worst(idempotency),
+            "commutation": _worst(_residual(x @ z - z @ x, ea + e, fx * f) for z, e, f in carried.values()),
+            "resolution_of_identity": _ratio(frob(total - eye), max(norms[(k, 0)] for k in proj)),
+            "orthogonality": _worst(orthogonality),
             "annihilation": _worst(annihilation),
             "ladder": _worst(ladder),
             "reconstruction": reconstruction,
@@ -118,16 +116,15 @@ def _worst(values) -> float:
     return float(np.max(list(values), initial=0.0))
 
 
-def _commutation(a: np.ndarray, z: np.ndarray, fa: float, fz: float) -> float:
-    """Residual of A @ Z = Z @ A, given ``fa = frob(a)`` and ``fz = frob(z)``."""
-    return _bilinear(a, z, lambda x, y: x @ y - y @ x, 0, fa, fz)
-
-
-def _annihilation(shifted: np.ndarray, nu: int, z: np.ndarray, fs: float, fz: float) -> float:
-    """Residual of ``shifted ** nu @ Z = 0``, read on the carried power
-    (:func:`_power`) at any scale, given ``fs = frob(shifted)`` and ``fz = frob(z)``."""
-    p, e = _power(shifted, nu)
-    return _bilinear(p, z, np.matmul, e, fs if nu == 1 else frob(p), fz)
+def _annihilation(shifted: tuple, nu: int, z: tuple) -> float:
+    """Residual of ``shifted ** nu @ Z = 0`` for carried operands (:func:`_carry`),
+    read on the carried power (:func:`_power`) at any scale."""
+    (x, e, f), (y, g, fy) = shifted, z
+    if nu != 1:
+        p, s = _power(x, nu)
+        x, h, f = _carry(p)
+        e = nu * e + s + h
+    return _residual(x @ y, e + g, f * fy)
 
 
 def _guard(norm: float, cfg: ToleranceConfig, what: str) -> None:
@@ -416,11 +413,10 @@ def eigenprojection_residuals(a, sp: Spectrum, z: np.ndarray) -> dict:
     A^(ind A) @ Z = 0 (which for a nonsingular matrix degenerates to
     Z itself being zero).
     """
-    a = as_matrix(a)
-    z = np.ascontiguousarray(z, dtype=complex)
-    fa, fz = frob(a), frob(z)
+    a, z = _pair(a, z)
+    (x, e, fx), (y, g, fy) = ca, cz = _carry(_check_pair(a, sp)), _carry(z)
     return {
-        "idempotency": _inner_inverse(z, None, fz),
-        "commutation": _commutation(a, z, fa, fz),
-        "annihilation": _annihilation(a, sp.ind_a, z, fa, fz),
+        "idempotency": _residual(y @ y, 2 * g, fy ** 2, y, g),
+        "commutation": _residual(x @ y - y @ x, e + g, fx * fy),
+        "annihilation": _annihilation(ca, sp.ind_a, cz),
     }

@@ -7,6 +7,8 @@ module centralizes input validation (squareness, finiteness), the tolerance
 policy, and the factorization-backed primitives (numerical rank, linear
 solve) everything else consumes. Both primitives judge singularity by the
 smallest singular value against the largest, which a solve bounds first.
+Every residual with a product is read by :func:`_residual` on operands each
+carried once (:func:`_carry`), so an operand past ``2**+-64`` is read here alone.
 """
 
 from __future__ import annotations
@@ -54,16 +56,28 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a nonempty square matrix and return it as complex128.
 
-    Raises :class:`PreconditionError` for non-square input or non-finite
-    entries. Always returns a fresh C-ordered array, so callers may treat
-    results as immutable values and view them as pairs of floats.
+    Raises :class:`PreconditionError` for input that is not a square array
+    of numbers (a ragged list, say) or has non-finite entries. Always
+    returns a fresh C-ordered array, so callers may treat results as
+    immutable values and view them as pairs of floats.
     """
-    m = np.array(a, dtype=complex, order="C")
+    try:
+        m = np.array(a, dtype=complex, order="C")
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"expected a nonempty square matrix of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise PreconditionError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise PreconditionError("matrix entries must all be finite")
     return m
+
+
+def _pair(x, y):
+    """:func:`as_matrix` of both operands, refused unless they have one size."""
+    x, y = as_matrix(x), as_matrix(y)
+    if x.shape != y.shape:
+        raise PreconditionError(f"dimension mismatch: {x.shape[0]}x{x.shape[0]} and {y.shape[0]}x{y.shape[0]} operands")
+    return x, y
 
 
 def identity(n: int) -> np.ndarray:
@@ -149,49 +163,39 @@ def _power(m: np.ndarray, e: int):
 
 def _ratio(num: float, den: float, e: int = 0) -> float:
     """``num * 2**e / max(1, den * 2**e)``, formed without overflow: the one
-    floor of every scaled residual. At ``e = 0`` an infinite ``den`` reads ``num``."""
+    floor of every scaled residual. At ``e = 0`` an infinite ``den`` reads ``num``;
+    a floored value past the floating-point range reads ``inf``."""
     if den and math.frexp(den)[1] + e > 0:
         return num / den
-    return math.ldexp(num, e)
+    try:
+        return math.ldexp(num, e)
+    except OverflowError:
+        return math.inf
 
 
-def _bilinear(x: np.ndarray, y: np.ndarray, form, e: int, fx: float, fy: float) -> float:
-    """``frob(form(X, y)) / max(1, frob(X) * frob(y))`` for a bilinear ``form``
-    and ``X = x * 2**e``, taken on ``x`` and ``y`` split by their norms ``fx``
-    and ``fy``, so no step overflows; scale-free once the norm product passes 1."""
-    (x, f), (y, g) = _split(x, fx), _split(y, fy)
-    return _ratio(frob(form(x, y)), math.ldexp(fx, -f) * math.ldexp(fy, -g), e + f + g)
+def _carry(m: np.ndarray, norm: float | None = None):
+    """``(x, e, f)`` with ``m = x * 2**e`` split (:func:`_split`) by its Frobenius
+    norm ``norm`` (read here when None), or by its largest part where that norm
+    overflows, and ``f`` the norm of ``x``: how a residual set carries an operand."""
+    norm = frob(m) if norm is None else norm
+    x, e = _split(m, norm if norm < math.inf else None)
+    return x, e, math.ldexp(norm, -e) if norm < math.inf else frob(x)
 
 
-def _difference_ratio(xy: np.ndarray, r: np.ndarray, den: float, h: int, e: int) -> float:
-    """``frob(xy 2**h - r) 2**e / max(1, den 2**(h + e))`` for a product ``xy``
-    and reference term ``r`` of split operands ``2**h`` apart: the part of
-    smaller scale is shifted down to the other's, so no step overflows."""
-    # xy 2**h - r = 2**hi (xy 2**lo - r 2**-hi)
-    lo, hi = min(h, 0), max(h, 0)
+def _residual(p: np.ndarray, e: int, den: float, r: np.ndarray | None = None, h: int = 0) -> float:
+    """``frob(P - R) / max(1, den * 2**e)`` for ``P = p * 2**e``, ``R = r * 2**h``
+    (0 when None) and ``den`` the norm product of p's carried operands. The
+    term of smaller scale is shifted down to the other's, so no step
+    overflows; where every exponent is 0 nothing is rescaled."""
+    if r is None:
+        return _ratio(frob(p), den, e)
+    # P - R = 2**(h + hi) (p 2**lo - r 2**-hi), with lo + hi = e - h
+    lo, hi = min(e - h, 0), max(e - h, 0)
     if lo or hi:
         with np.errstate(under="ignore"):
-            xy = np.ldexp(xy.view(float), lo).view(xy.dtype)
+            p = np.ldexp(p.view(float), lo).view(p.dtype)
             r = np.ldexp(r.view(float), -hi).view(r.dtype)
-    return _ratio(frob(xy - r), math.ldexp(den, lo), e + hi)
-
-
-def _inner_inverse(x: np.ndarray, y: np.ndarray | None = None, fx=None, fy=None) -> float:
-    """``frob(X Y X - X) / max(1, frob(X)**2 frob(Y))``, with Y = I of norm 1
-    when None (the idempotency of X). Like :func:`_bilinear`, it reads X and Y
-    split by their norms (``fx`` and ``fy`` when given), and the difference
-    through :func:`_difference_ratio`; in range, no operand is rescaled."""
-    fx = frob(x) if fx is None else fx
-    x, f = _split(x, fx)
-    fx = math.ldexp(fx, -f)
-    if y is None:
-        xyx, fy, g = x @ x, 1.0, 0
-    else:
-        fy = frob(y) if fy is None else fy
-        y, g = _split(y, fy)
-        xyx, fy = x @ y @ x, math.ldexp(fy, -g)
-    # X Y X - X = 2**f (x y x 2**(f + g) - x)
-    return _difference_ratio(xyx, x, fx ** 2 * fy, f + g, f)
+    return _ratio(frob(p - r), math.ldexp(den, lo), h + hi)
 
 
 def rank_numeric(a, cfg: ToleranceConfig | None = None) -> int:

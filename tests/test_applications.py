@@ -29,7 +29,7 @@ from speccomp import (
 )
 from speccomp.cli import main
 from speccomp.documents import document_payload
-from speccomp.linalg import _inner_inverse, _ratio, frob, solve
+from speccomp.linalg import _ratio, frob, solve
 from speccomp.spectrum import replace_eigenvalue
 
 from corpus import (
@@ -178,7 +178,10 @@ class TestResidualsAtAnyScale:
         eye = np.eye(2, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _inner_inverse(x * eye, None if y is None else y * eye)
+            if y is None:  # the idempotency of X: a Cesaro limit's against P = I
+                got = cesaro_residuals(eye, x * eye)["idempotency"]
+            else:  # Drazin's inner inverse axiom with A = Y and A^D = X
+                got = drazin_residuals(y * eye, x * eye, 0)["inner_inverse"]
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_overflowing_products_read_the_exact_ratio(self):
@@ -202,6 +205,28 @@ class TestResidualsAtAnyScale:
             residuals = drazin_residuals(a, a_d, 1)
         assert max(residuals.values()) == 0.0
 
+    def test_operand_whose_norm_overflows_is_split_by_its_largest_part(self):
+        # ||B||_F overflows: |B - I| / (|I|^2 |B|) is 1/2 and |B - I| / (|B| |I|) is 2**-0.5
+        # to working accuracy, as read on B split by its largest part
+        b, eye = np.array([[1.7e308, 1.7e308], [0.0, 1e308]]), np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inner_inverse = drazin_residuals(b, eye, 0)["inner_inverse"]
+            absorption = cesaro_residuals(b, eye)["absorption"]
+        assert inner_inverse == pytest.approx(0.5, rel=1e-15)
+        assert absorption == pytest.approx(2 ** -0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_residual_floor_past_the_float_range_reads_inf(self, seed):
+        # A^D = 0 of a nilpotent A = 2**700 N: the power identity's
+        # denominator is 0, and its floored value ||A^3|| overflows
+        a0, _, sp = build_case(JordanSpec(((0, (3,)),), seed=seed))
+        a = 2.0 ** 700 * a0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = drazin_residuals(a, drazin_inverse(a, sp), 3)
+        assert residuals == {"inner_inverse": 0.0, "commutation": 0.0, "power_identity": math.inf}
+
     def test_in_range_absorption_and_power_identity_keep_the_unsplit_bits(self):
         rng = np.random.default_rng(53)
         for t in range(-30, 31, 3):
@@ -219,8 +244,29 @@ class TestResidualsAtAnyScale:
         for t in range(-30, 31, 3):
             x = 2.0 ** t * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
             y = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            assert _inner_inverse(x, y) == _ratio(frob(x @ y @ x - x), frob(x) ** 2 * frob(y))
-            assert _inner_inverse(x) == _ratio(frob(x @ x - x), frob(x) ** 2)
+            assert drazin_residuals(y, x, 0)["inner_inverse"] == _ratio(frob(x @ y @ x - x), frob(x) ** 2 * frob(y))
+            assert cesaro_residuals(np.eye(5), x)["idempotency"] == _ratio(frob(x @ x - x), frob(x) ** 2)
+
+
+class TestResidualOperands:
+    """``drazin_residuals`` and ``cesaro_residuals`` validate their operands."""
+
+    def test_drazin_operand_of_another_size_is_refused(self):
+        with pytest.raises(PreconditionError, match="dimension mismatch: 3x3 and 2x2 operands"):
+            drazin_residuals(np.eye(3), np.eye(2), 1)
+
+    def test_cesaro_limit_of_another_size_is_refused(self):
+        with pytest.raises(PreconditionError, match="dimension mismatch: 3x3 and 2x2 operands"):
+            cesaro_residuals(np.eye(3), np.eye(2))
+
+    @pytest.mark.parametrize("ind_a", [-1, 1.5, "1"])
+    def test_index_that_is_not_a_nonnegative_integer_is_refused(self, ind_a):
+        with pytest.raises(PreconditionError, match="ind_a must be a nonnegative integer"):
+            drazin_residuals(np.eye(3), np.eye(3), ind_a)
+
+    def test_numpy_integer_index_is_the_python_one(self):
+        a = np.diag([0.0, 1.0, 2.0])
+        assert drazin_residuals(a, a, np.int64(2)) == drazin_residuals(a, a, 2)
 
 
 class TestCesaro:

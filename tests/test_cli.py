@@ -316,6 +316,17 @@ class TestExitCodes:
         assert (code, err) == (4, "deviation inf exceeds verify_tol 1.000e-08\n")
         assert json.loads(out)["max_abs_deviation"] == np.inf
 
+    def test_overflowing_residual_floor_is_4_with_one_line(self, tmp_path, capsys):
+        # A^D = 0 of the nilpotent A = 2**700 N: the power identity's floored
+        # value ||A^3|| is past the float range and reads inf
+        a = 2.0 ** 700 * build_case(JordanSpec(((0, (3,)),), seed=0))[0]
+        records = [{"value": 0j, "multiplicity": 3, "index": 3}]
+        doc = write_json(tmp_path / "nilpotent.json", document_payload(a, records))
+        code, out, err = run(capsys, ["drazin", "--input", doc, "--use-given-spectrum"])
+        assert (code, err) == (4, "residual inf exceeds verify_tol 1.000e-08\n")
+        assert '"power_identity": Infinity' in out
+        assert json.loads(out)["residuals"]["power_identity"] == np.inf
+
     def test_verify_match_is_0(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", DIAG02)
         code, out, _ = run(capsys, ["verify", "--input", a, "--against", a])

@@ -17,11 +17,14 @@ from speccomp import (
     build_case,
     component,
     components_by_nullspace,
+    eigenprojection_residuals,
     eigenprojection_zero,
     frob,
     lagrange_projector,
     spectrum_from_data,
 )
+
+from speccomp.linalg import _ratio
 
 from corpus import (corpus, lost_zero_matrix, periodic_chain, random_diagonalizable, reducible_chain,
                     rel_frob)
@@ -412,6 +415,79 @@ class TestAnnihilationPastOverflow:
         sp = spectrum_from_data([0.0, 1e10], [4, 1], [4, 1])
         with pytest.raises(ConditioningError, match="power 4 of the shifted matrix"):
             eigenprojection_residuals(a, sp, np.eye(5, dtype=complex))
+
+
+class TestResidualOperands:
+    """``eigenprojection_residuals`` validates its operands like every public entry."""
+
+    SP3 = spectrum_from_data([0.0, 1.0], [2, 1], [1, 1])
+
+    def test_projector_of_another_size_is_refused(self):
+        with pytest.raises(PreconditionError, match="dimension mismatch: 3x3 and 2x2 operands"):
+            eigenprojection_residuals(np.eye(3), self.SP3, np.eye(2))
+
+    def test_non_finite_projector_is_refused(self):
+        z = np.eye(3)
+        z[0, 0] = np.nan
+        with pytest.raises(PreconditionError, match="finite"):
+            eigenprojection_residuals(np.eye(3), self.SP3, z)
+
+    def test_ragged_projector_is_refused(self):
+        with pytest.raises(PreconditionError, match="square matrix of numbers"):
+            eigenprojection_residuals(np.eye(3), self.SP3, [[1, 0, 0], [0, 1], [0, 0, 1]])
+
+    def test_spectrum_of_another_size_is_refused(self):
+        with pytest.raises(PreconditionError, match="spectrum describes a 3x3 matrix, got 2x2"):
+            eigenprojection_residuals(np.eye(2), self.SP3, np.eye(2))
+
+
+class TestReaderBits:
+    """In range every residual read by the one reader keeps the bits of its
+    unsplit formula ``_ratio(frob(...), ...)``."""
+
+    @staticmethod
+    def _gaussian(rng):
+        return rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+
+    def test_component_set_residuals_keep_the_unsplit_bits(self):
+        rng = np.random.default_rng(61)
+        sp = spectrum_from_data([0.0, 1.0, 2j], [2, 2, 1], [2, 1, 1])
+        eye = np.eye(5)
+        for t in range(-30, 31, 3):
+            a = 2.0 ** t * self._gaussian(rng)
+            parts = {(k, j): 2.0 ** (t * j) * self._gaussian(rng)
+                     for k, nu in enumerate(sp.indices, 1) for j in range(nu)}
+            got = ComponentSet(source=a, spectrum=sp, parts=parts).residuals()
+            proj = [parts[(k, 0)] for k in range(1, sp.s + 1)]
+            total = sum(proj)
+            shifted = [a - lam * eye for lam in sp.eigenvalues]
+            powers = [np.linalg.matrix_power(x, nu) for x, nu in zip(shifted, sp.indices)]
+            ladder = [_ratio(frob(shifted[k - 1] @ parts[(k, j)] - (j + 1) * parts[(k, j + 1)]),
+                             frob(shifted[k - 1]) * frob(parts[(k, j)])) for k, j in parts if (k, j + 1) in parts]
+            assert len(ladder) == 1
+            want = {
+                "idempotency": max(_ratio(frob(z @ z - z), frob(z) ** 2) for z in proj),
+                "commutation": max(_ratio(frob(a @ z - z @ a), frob(a) * frob(z)) for z in parts.values()),
+                "orthogonality": max(_ratio(frob(z @ (total - z)), frob(z) * frob(total - z)) for z in proj),
+                "annihilation": max(_ratio(frob(p @ z), frob(p) * frob(z)) for p, z in zip(powers, proj)),
+                "ladder": max(ladder),
+            }
+            assert {name: got[name] for name in want} == want, t
+
+    @pytest.mark.parametrize("values, mults, inds", [([0.0, 1.0], [3, 2], [2, 1]),
+                                                     ([0.0, 1.0], [3, 2], [1, 1]),
+                                                     ([1.0, 2.0], [3, 2], [1, 1])])
+    def test_eigenprojection_residuals_keep_the_unsplit_bits(self, values, mults, inds):
+        rng = np.random.default_rng(67)
+        sp = spectrum_from_data(values, mults, inds)
+        for t in range(-30, 31, 3):
+            a, z = 2.0 ** t * self._gaussian(rng), self._gaussian(rng)
+            power = np.linalg.matrix_power(a, sp.ind_a)
+            assert eigenprojection_residuals(a, sp, z) == {
+                "idempotency": _ratio(frob(z @ z - z), frob(z) ** 2),
+                "commutation": _ratio(frob(a @ z - z @ a), frob(a) * frob(z)),
+                "annihilation": _ratio(frob(power @ z), frob(power) * frob(z)),
+            }, t
 
 
 class TestCarriedPower:

@@ -240,3 +240,9 @@ class TestResidualFloor:
         den = 1e200 * 1e200
         assert num / max(1.0, den) == 0.0  # what the inline floor made of it
         assert _ratio(num, den) == num
+
+    @pytest.mark.parametrize("num, e", [(1.0, 1024), (1.5, 1024), (1e300, 100)])
+    def test_floored_value_past_the_float_range_reads_inf(self, num, e):
+        # the floor branch returns num * 2**e, which saturates instead of raising
+        assert _ratio(num, 0.0, e) == np.inf
+        assert _ratio(num, 5e-324, e) == np.inf
