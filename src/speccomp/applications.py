@@ -84,6 +84,17 @@ def drazin_inverse(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.nd
     return _solve(a + c * z, identity(a.shape[0]) - z, cfg)
 
 
+def _require_chain(p: np.ndarray, tol: float) -> None:
+    """Raise :class:`PreconditionError` unless the validated ``p`` is row-stochastic
+    within ``tol``: row sums 1, entries (near-)real and nonnegative."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused
+        deviation = np.max(np.abs(p.sum(axis=1) - 1.0))
+    if not deviation <= tol:
+        raise PreconditionError(f"matrix is not row-stochastic: row sums deviate from 1 by {deviation:.3e}")
+    if np.max(np.abs(p.imag)) > tol or np.min(p.real) < -tol:
+        raise PreconditionError("matrix is not row-stochastic: entries must be (near-)real and nonnegative")
+
+
 def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | None = None) -> np.ndarray:
     """Limiting matrix of a row-stochastic chain.
 
@@ -95,18 +106,8 @@ def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | Non
     caller has it already, as ``analyze(p, cfg)`` returns it; without it,
     that call is made here.
     """
-    p = as_matrix(p)
-    cfg = cfg or DEFAULT_TOLERANCES
-    tol = cfg.verify_tol
-    row_sums = p.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > tol:
-        raise PreconditionError(
-            "matrix is not row-stochastic: row sums deviate from 1 by "
-            f"{np.max(np.abs(row_sums - 1.0)):.3e}"
-        )
-    if np.max(np.abs(p.imag)) > tol or np.min(p.real) < -tol:
-        raise PreconditionError("matrix is not row-stochastic: entries must be (near-)real and nonnegative")
-
+    p, cfg = as_matrix(p), cfg or DEFAULT_TOLERANCES
+    _require_chain(p, cfg.verify_tol)
     sp = analyze(p, cfg, exponents="minimal") if spectrum is None else spectrum
     k = sp.position_of(1.0, 10.0 * effective_cluster_radius(sp.eigenvalues, cfg))
     if sp.eigenvalues[k - 1] != 1.0:

@@ -14,15 +14,16 @@ the verify tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from .applications import cesaro_limit, cesaro_residuals, drazin_inverse, drazin_residuals
+from .applications import _require_chain, cesaro_limit, cesaro_residuals, drazin_inverse, drazin_residuals
 from .components import _worst, all_components, eigenprojection_residuals, eigenprojection_zero
 from .documents import csv_render, load_document, matrix_block, write_json
 from .exceptions import ConditioningError, InputFormatError, PreconditionError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, as_matrix
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
 from .spectrum import Spectrum, analyze, spectrum_from_data
 
 __all__ = ["build_parser", "main"]
@@ -113,12 +114,16 @@ def _base_payload(args, cfg) -> dict:
         "command": args.command,
         "input": args.input,
         "exponent_policy": _policy(args),
-        "tolerances": {
-            "eig_cluster_radius": cfg.eig_cluster_radius,
-            "rank_rel_threshold": cfg.rank_rel_threshold,
-            "verify_tol": cfg.verify_tol,
-        },
+        "tolerances": dataclasses.asdict(cfg),
     }
+
+
+def _verdict(what: str, value: float, cfg: ToleranceConfig) -> int:
+    """Exit code 4, with one stderr line, unless ``value <= verify_tol`` (NaN fails)."""
+    if not value <= cfg.verify_tol:
+        print(f"{what} {value:.3e} exceeds verify_tol {cfg.verify_tol:.3e}", file=sys.stderr)
+        return 4
+    return 0
 
 
 def _run(args) -> int:
@@ -126,9 +131,7 @@ def _run(args) -> int:
 
     if args.command == "verify":
         matrix, _ = load_document(args.input)
-        matrix = as_matrix(matrix)
         reference, _ = load_document(args.against)
-        reference = as_matrix(reference)
         if matrix.shape != reference.shape:
             raise PreconditionError(
                 f"cannot compare a {matrix.shape[0]}x{matrix.shape[0]} matrix against "
@@ -141,11 +144,7 @@ def _run(args) -> int:
         payload["max_abs_deviation"] = deviation
         payload["passed"] = deviation <= cfg.verify_tol
         write_json(payload, sys.stdout)
-        if not payload["passed"]:
-            print(f"deviation {deviation:.3e} exceeds verify_tol {cfg.verify_tol:.3e}",
-                  file=sys.stderr)
-            return 4
-        return 0
+        return _verdict("deviation", deviation, cfg)
 
     if args.command == "cesaro" and (args.use_given_spectrum or args.exponents != "minimal"):
         raise PreconditionError(
@@ -153,7 +152,8 @@ def _run(args) -> int:
             "--use-given-spectrum and --exponents worst-case do not apply to it"
         )
     matrix, records = load_document(args.input)
-    matrix = as_matrix(matrix)
+    if args.command == "cesaro":  # a matrix that is no chain is refused before its spectrum
+        _require_chain(matrix, cfg.verify_tol)
     sp = _spectrum_for(matrix, records, args, cfg)
     payload = _base_payload(args, cfg)
     payload["n"] = matrix.shape[0]
@@ -175,10 +175,7 @@ def _run(args) -> int:
             {
                 "k": k,
                 "j": j,
-                "eigenvalue": [
-                    float(sp.eigenvalues[k - 1].real),
-                    float(sp.eigenvalues[k - 1].imag),
-                ],
+                "eigenvalue": payload["spectrum"]["eigenvalues"][k - 1],
                 "matrix": matrix_block(cs.parts[(k, j)]),
             }
             for (k, j) in cs.keys()
@@ -199,7 +196,6 @@ def _run(args) -> int:
     # every result and residual is computed before the first byte is written,
     # so a failure leaves stdout empty
     payload["residuals"] = residuals
-    worst = _worst(residuals.values())
     if args.format == "csv":
         for item in named:
             sys.stdout.write(csv_render([item]))
@@ -207,11 +203,7 @@ def _run(args) -> int:
             print(f"residual {name} {residuals[name]:.6e}", file=sys.stderr)
     else:
         write_json(payload, sys.stdout)
-
-    if not worst <= cfg.verify_tol:
-        print(f"residual {worst:.3e} exceeds verify_tol {cfg.verify_tol:.3e}", file=sys.stderr)
-        return 4
-    return 0
+    return _verdict("residual", _worst(residuals.values()), cfg)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ClusteringError, ConvergenceError, PreconditionError
+from .exceptions import ClusteringError, ConditioningError, ConvergenceError, PreconditionError
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, _rank, as_matrix, frob
 
 __all__ = ["Spectrum", "analyze", "spectrum_from_data"]
@@ -209,19 +209,23 @@ def eigenvalues_raw(a) -> np.ndarray:
 
     A matrix whose imaginary parts are all zero is solved in real arithmetic
     (LAPACK ``dgeev`` on its real part), so its real eigenvalues come out
-    exactly real and its complex ones in exactly conjugate pairs.
+    exactly real and its complex ones in exactly conjugate pairs. ``a`` is
+    taken as :func:`~speccomp.linalg.as_matrix` returns it, not checked again;
+    eigenvalues past the float range raise :class:`ConditioningError`.
     """
-    a = as_matrix(a)
     try:
-        if not a.imag.any():
-            return np.linalg.eigvals(a.real).astype(complex)
-        return np.linalg.eigvals(a)
+        values = np.linalg.eigvals(a if a.imag.any() else a.real).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigenvalue iteration did not converge within the LAPACK cap of "
             f"roughly 30 sweeps per eigenvalue for this {a.shape[0]}x{a.shape[0]} "
             f"matrix of Frobenius norm {frob(a):.3e}"
         ) from exc
+    if not np.isfinite(values).all():
+        big = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        raise ConditioningError(f"eigenvalues of this {a.shape[0]}x{a.shape[0]} matrix overflow the float range; "
+                                f"its largest real or imaginary part is {big:.3e}")
+    return values
 
 
 def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
@@ -278,9 +282,9 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
     Returns 0 iff ``lam`` is not an eigenvalue; never exceeds n (the rank
     sequence plateaus by then). The shifted matrix is renormalized before
     each powering step — rank is scale-invariant — so high powers cannot
-    over- or underflow. A real ``a`` and ``lam`` keep the powers real.
+    over- or underflow. A real ``a`` and ``lam`` keep the powers real. ``a``
+    is taken as :func:`~speccomp.linalg.as_matrix` returns it, not checked again.
     """
-    a = as_matrix(a)
     cfg = cfg or DEFAULT_TOLERANCES
     n = a.shape[0]
     lam = complex(lam)

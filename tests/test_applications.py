@@ -308,6 +308,13 @@ class TestCesaro:
         with pytest.raises(PreconditionError, match=r"1\.0 is not an eigenvalue .*nearest is \(2\+0j\)"):
             cesaro_limit(np.eye(2), spectrum=sp)
 
+    def test_chain_is_checked_before_its_spectrum(self):
+        # the spectrum of the first has no eigenvalue at 0, those of the others
+        # overflow, and so does the row sum of the last
+        for p in ([[0, 1e-8], [1e-8, 0]], np.diag([1.7e308 + 1.7e308j, 2.0]), [[1.7e308, 1.7e308], [0, 1]]):
+            with pytest.raises(PreconditionError, match="not row-stochastic: row sums deviate from 1"):
+                cesaro_limit(p)
+
     def test_rejects_non_stochastic(self):
         with pytest.raises(PreconditionError, match="stochastic"):
             cesaro_limit(np.array([[0.5, 0.2], [0.3, 0.7]]))

@@ -4,6 +4,7 @@ report written one matrix at a time after everything is computed."""
 import contextlib
 import io
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import speccomp.cli
+import speccomp.linalg
 from speccomp import JordanSpec, build_case, case_document
 from speccomp.cli import build_parser, main
 from speccomp.components import ComponentSet
@@ -502,6 +504,66 @@ class TestExitCodes:
             assert (code, err) == (0, ""), policy
             assert set(json.loads(out)["residuals"].values()) == {0.0}, policy
 
+    @pytest.mark.parametrize("command", ["spectrum", "projector", "components", "drazin", "cesaro"])
+    def test_overflowing_eigenvalues_exit_3_and_no_chain_2(self, tmp_path, capsys, command):
+        # finite entries, diag(1.7e308 + 1.7e308j, 2), whose eigenvalues LAPACK returns as NaN
+        doc = write_json(tmp_path / "over.json", {"n": 2, "entries": [[1.7e308, 1.7e308], [0, 0], [0, 0], [2, 0]]})
+        code, message = 3, ("eigenvalues of this 2x2 matrix overflow the float range; "
+                            "its largest real or imaginary part is 1.700e+308")
+        if command == "cesaro":
+            code, message = 2, "matrix is not row-stochastic: row sums deviate from 1 by inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, [command, "--input", doc]) == (code, "", f"error: {message}\n")
+
+    def test_cesaro_checks_the_chain_before_its_spectrum(self, tmp_path, capsys):
+        # analyzing first would exit 3: 0 is no eigenvalue at the rank threshold
+        doc = write_json(tmp_path / "near0.json", {"n": 2, "entries": [[0, 0], [1e-8, 0], [1e-8, 0], [0, 0]]})
+        assert run(capsys, ["cesaro", "--input", doc]) == (
+            2, "", "error: matrix is not row-stochastic: row sums deviate from 1 by 1.000e+00\n")
+
+
+class TestValidationCount:
+    """The CLI passes the loader's matrix on; each library entry checks its own
+    operands once, and ``analyze`` checks its matrix once however many
+    eigenvalues it searches an index for."""
+
+    CHAIN = {"n": 2, "entries": [[0.5, 0], [0.5, 0], [0.25, 0], [0.75, 0]]}
+    # the double eigenvalue 2 takes an index search on the computed path
+    JORDAN = dict(JORDAN225, spectrum=[{"value": [2, 0], "multiplicity": 2, "index": 2},
+                                       {"value": [5, 0], "multiplicity": 1, "index": 1}])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = speccomp.linalg.as_matrix
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "speccomp" and hasattr(module, "as_matrix"):
+                monkeypatch.setattr(module, "as_matrix", counted)
+        return calls
+
+    @pytest.mark.parametrize("command, computed, given", [
+        ("spectrum", 1, 0), ("projector", 4, 3), ("components", 2, 1), ("drazin", 4, 3), ("cesaro", 4, None),
+    ])
+    def test_as_matrix_calls_per_run(self, tmp_path, capsys, calls, command, computed, given):
+        doc = write_json(tmp_path / "doc.json", self.CHAIN if command == "cesaro" else self.JORDAN)
+        code, _, err = run(capsys, [command, "--input", doc])
+        assert (code, err, len(calls)) == (0, "", computed)
+        if given is not None:
+            calls.clear()
+            code, _, err = run(capsys, [command, "--input", doc, "--use-given-spectrum"])
+            assert (code, err, len(calls)) == (0, "", given)
+
+    def test_verify_checks_nothing_past_the_loader(self, tmp_path, capsys, calls):
+        doc = write_json(tmp_path / "diag02.json", DIAG02)
+        code, _, _ = run(capsys, ["verify", "--input", doc, "--against", doc])
+        assert (code, len(calls)) == (0, 0)
+
 
 class TestDocumentValidation:
     def test_spectrum_multiplicity_sum_checked(self, tmp_path, capsys):
@@ -586,6 +648,12 @@ class TestMalformedInput:
         assert (code, out) == (1, "")
         assert _one_error_line(err) and len(err.encode()) < 300, err[:400]
         assert "'xxxxx" in err and "..." in err
+
+    def test_count_past_the_digit_limit_is_echoed_by_its_bits(self, tmp_path, capsys):
+        # n*n = 10**4400 has more decimal digits than Python converts
+        doc = write_json(tmp_path / "n.json", {"n": 10 ** 2200, "entries": []})
+        assert run(capsys, ["spectrum", "--input", doc]) == (
+            1, "", "error: 'entries' must list n*n = <integer of 14617 bits> pairs, got 0\n")
 
     def test_short_values_are_echoed_as_before(self, tmp_path, capsys):
         doc = write_json(tmp_path / "n.json", {"n": "two", "entries": []})

@@ -22,10 +22,12 @@ from speccomp.documents import (
     _pair,
     csv_render,
     document_payload,
+    load_document,
     matrix_block,
     matrix_from_block,
     write_json,
 )
+from speccomp.linalg import as_matrix
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-300, 0.1, -2.5, float("nan"),
                float("inf"), float("-inf")]
@@ -289,3 +291,18 @@ def test_malformed_document_exits_1_with_one_short_error_line(case):
 ], ids=["root-not-object", "empty-spectrum", "ragged-csv", "csv-no-rows", "csv-not-square", "csv-inf"])
 def test_each_document_refusal_exits_1_with_its_message(data, suffix, message):
     assert _spectrum_cli(data, suffix) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("doc.json", '{"n": 2, "entries": [[1, 2], [3.5, -4], [0, 0], [-0.0, 1e-300]]}'),
+    ("doc.csv", "1,2,3.5,-4\n0,0,-0.0,1e-300\n"),
+], ids=["json", "csv"])
+def test_loaded_matrix_is_one_the_library_entries_accept_as_it_is(tmp_path, name, text):
+    # the command line passes the loader's matrix on unchecked
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    matrix, _ = load_document(path)
+    assert matrix.dtype == np.complex128 and matrix.shape == (2, 2) and matrix.flags.c_contiguous
+    assert np.isfinite(matrix).all()
+    assert as_matrix(matrix).view(float).tobytes() == matrix.view(float).tobytes()
+    assert matrix.view(float).tolist() == [[1.0, 2.0, 3.5, -4.0], [0.0, 0.0, -0.0, 1e-300]]

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import speccomp.spectrum
 from speccomp import (
     ClusteringError,
+    ConditioningError,
     ConvergenceError,
     PreconditionError,
     Spectrum,
@@ -68,6 +69,18 @@ class TestEigenvaluesRaw:
         message = str(excinfo.value)
         assert len(message) < 300
         assert "64x64" in message
+
+    @pytest.mark.parametrize("exponents", ["minimal", "worst_case"])
+    def test_overflowing_eigenvalues_are_a_conditioning_error(self, exponents):
+        # finite entries whose eigenvalues LAPACK returns as NaN
+        a = np.diag([1.7e308 + 1.7e308j, 2.0])
+        message = ("eigenvalues of this 2x2 matrix overflow the float range; "
+                   "its largest real or imaginary part is 1.700e+308")
+        with pytest.raises(ConditioningError) as raw:
+            eigenvalues_raw(a)
+        with pytest.raises(ConditioningError) as analyzed:
+            analyze(a, exponents=exponents)
+        assert str(raw.value) == str(analyzed.value) == message
 
 
 class TestClustering:
