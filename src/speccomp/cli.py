@@ -30,21 +30,24 @@ __all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="matrix document (JSON, or CSV by .csv suffix)")
-    common.add_argument("--tol-eig", type=float, default=DEFAULT_TOLERANCES.eig_cluster_radius, metavar="R",
-                        help="relative eigenvalue clustering radius; values chained within twice it "
-                             "count as one eigenvalue (default %(default)s)")
-    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOLERANCES.rank_rel_threshold, metavar="R",
-                        help="relative rank threshold (default %(default)s)")
-    common.add_argument("--verify-tol", type=float, default=DEFAULT_TOLERANCES.verify_tol, metavar="R",
-                        help="residual tolerance for verification (default %(default)s)")
-    common.add_argument("--exponents", choices=("minimal", "worst-case"), default="minimal",
-                        help="exponent policy for the product formulas")
-    common.add_argument("--use-given-spectrum", action="store_true",
-                        help="trust the document's spectrum block instead of computing eigenvalues")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (csv emits matrices only; residuals go to stderr)")
+    # three parents, so each subcommand accepts only the flags it reads
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True, help="matrix document (JSON, or CSV by .csv suffix)")
+    spectral = argparse.ArgumentParser(add_help=False)
+    spectral.add_argument("--tol-eig", type=float, default=DEFAULT_TOLERANCES.eig_cluster_radius, metavar="R",
+                          help="relative eigenvalue clustering radius; values chained within twice it "
+                               "count as one eigenvalue (default %(default)s)")
+    spectral.add_argument("--tol-rank", type=float, default=DEFAULT_TOLERANCES.rank_rel_threshold, metavar="R",
+                          help="relative rank threshold (default %(default)s)")
+    spectral.add_argument("--exponents", choices=("minimal", "worst-case"), default="minimal",
+                          help="exponent policy for the product formulas")
+    spectral.add_argument("--use-given-spectrum", action="store_true",
+                          help="trust the document's spectrum block instead of computing eigenvalues")
+    spectral.add_argument("--format", choices=("json", "csv"), default="json",
+                          help="output format (csv emits matrices only; residuals go to stderr)")
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--verify-tol", type=float, default=DEFAULT_TOLERANCES.verify_tol, metavar="R",
+                         help="residual tolerance for verification (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="speccomp",
@@ -52,19 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "Markov limiting matrices of dense complex matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="distinct eigenvalues, multiplicities, indices and exponents")
-    sub.add_parser("projector", parents=[common],
-                   help="eigenprojection at eigenvalue 0")
-    sub.add_parser("components", parents=[common],
-                   help="all component matrices Z_kj")
-    sub.add_parser("drazin", parents=[common],
-                   help="Drazin inverse")
-    sub.add_parser("cesaro", parents=[common],
-                   help="limiting matrix of a row-stochastic chain")
-    verify = sub.add_parser("verify", parents=[common],
+    # a flag a subcommand does not take reads the library default, as its report says
+    spectrum = sub.add_parser("spectrum", parents=[source, spectral],
+                              help="distinct eigenvalues, multiplicities, indices and exponents")
+    spectrum.set_defaults(verify_tol=DEFAULT_TOLERANCES.verify_tol)
+    for name, what in (("projector", "eigenprojection at eigenvalue 0"),
+                       ("components", "all component matrices Z_kj"),
+                       ("drazin", "Drazin inverse"),
+                       ("cesaro", "limiting matrix of a row-stochastic chain")):
+        sub.add_parser(name, parents=[source, spectral, checked], help=what)
+    verify = sub.add_parser("verify", parents=[source, checked],
                             help="compare the input matrix against a reference document")
     verify.add_argument("--against", required=True, help="reference matrix document")
+    verify.set_defaults(tol_eig=DEFAULT_TOLERANCES.eig_cluster_radius,
+                        tol_rank=DEFAULT_TOLERANCES.rank_rel_threshold, exponents="minimal")
     return parser
 
 

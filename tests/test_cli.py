@@ -1,7 +1,9 @@
 """Command line contract: formats, exit codes, determinism, round trips, and a
 report written one matrix at a time after everything is computed."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -43,6 +45,48 @@ class TestParser:
     def test_tolerance_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["projector", "--input", "a.json"])
         assert speccomp.cli._config(args) == DEFAULT_TOLERANCES
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        spectral = {"--input", "--tol-eig", "--tol-rank", "--exponents", "--use-given-spectrum", "--format"}
+        expected = {
+            "spectrum": spectral,
+            **{name: spectral | {"--verify-tol"} for name in ("projector", "components", "drazin", "cesaro")},
+            "verify": {"--input", "--verify-tol", "--against"},
+        }
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings if s.startswith("--") and s != "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == expected
+        assert sum(map(len, flags.values())) == 37
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ["--tol-eig", "5"]),
+        ("verify", ["--tol-rank", "3"]),
+        ("verify", ["--exponents", "worst-case"]),
+        ("verify", ["--use-given-spectrum"]),
+        ("verify", ["--format", "csv"]),
+        ("spectrum", ["--verify-tol", "0"]),
+    ])
+    def test_a_flag_the_subcommand_does_not_read_is_2(self, tmp_path, capsys, command, flags):
+        doc = write_json(tmp_path / "diag02.json", DIAG02)
+        argv = [command, "--input", doc, *flags] + (["--against", doc] if command == "verify" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"unrecognized arguments: {flags[0]}" in captured.err
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_a_flag_it_does_not_take_reports_the_library_default(self, tmp_path, capsys, command):
+        doc = write_json(tmp_path / "diag02.json", DIAG02)
+        argv = [command, "--input", doc] + (["--against", doc] if command == "verify" else [])
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["tolerances"] == dataclasses.asdict(DEFAULT_TOLERANCES)
+        assert payload["exponent_policy"] == "minimal"
 
 
 class TestProjectorCommand:
@@ -109,7 +153,7 @@ class TestStreamedReport:
             doc = write_json(tmp_path / "case.json", case_document(spec))
             argv = [command, "--input", doc, "--use-given-spectrum"]
         if command == "verify":
-            argv += ["--against", doc]
+            argv = [command, "--input", doc, "--against", doc]
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert json.dumps(json.loads(out)) + "\n" == out
