@@ -55,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Markov limiting matrices of dense complex matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag a subcommand does not take reads the library default, as its report says
+    # a flag a subcommand does not take reads its parent's default, as the report says
     spectrum = sub.add_parser("spectrum", parents=[source, spectral],
                               help="distinct eigenvalues, multiplicities, indices and exponents")
-    spectrum.set_defaults(verify_tol=DEFAULT_TOLERANCES.verify_tol)
+    spectrum.set_defaults(**vars(checked.parse_args([])))
     for name, what in (("projector", "eigenprojection at eigenvalue 0"),
                        ("components", "all component matrices Z_kj"),
                        ("drazin", "Drazin inverse"),
@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[source, checked],
                             help="compare the input matrix against a reference document")
     verify.add_argument("--against", required=True, help="reference matrix document")
-    verify.set_defaults(tol_eig=DEFAULT_TOLERANCES.eig_cluster_radius,
-                        tol_rank=DEFAULT_TOLERANCES.rank_rel_threshold, exponents="minimal")
+    verify.set_defaults(**vars(spectral.parse_args([])))
     return parser
 
 

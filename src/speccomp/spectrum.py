@@ -11,7 +11,6 @@ so that positions are stable across runs.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -277,7 +276,7 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
     return cents[order], counts[order]
 
 
-def eigen_index(a, lam, cfg: ToleranceConfig | None = None, m: int | None = None, gap: float = 0.0) -> int:
+def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
     """Smallest k with rank((A - lam I)^k) == rank((A - lam I)^(k+1)).
 
     Returns 0 iff ``lam`` is not an eigenvalue; never exceeds n (the rank
@@ -285,14 +284,6 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None, m: int | None = None
     each powering step — rank is scale-invariant — so high powers cannot
     over- or underflow. A real ``a`` and ``lam`` keep the powers real. ``a``
     is taken as :func:`~speccomp.linalg.as_matrix` returns it, not checked again.
-
-    Given ``m``, the algebraic multiplicity of ``lam``, and ``gap``, the
-    distance from ``lam`` to the nearest other eigenvalue, one rank can
-    settle index 1: a nullity of ``A - lam I`` equal to ``m`` means every
-    Jordan block has size 1. It is trusted only when ``gap`` exceeds
-    ``sqrt(rank_rel_threshold) * ||A - lam I||_F``, so that no other
-    eigenvalue is near enough to add to the numerical nullity; otherwise,
-    and without ``m``, the plateau search runs.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     n = a.shape[0]
@@ -300,10 +291,10 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None, m: int | None = None
     if not a.imag.any() and not lam.imag:
         a, lam = a.real, lam.real
     b = a - lam * np.eye(n, dtype=a.dtype)
-    shift = frob(b)
-    if shift <= cfg.rank_rel_threshold * max(1.0, frob(a)):
+    norm = frob(b)
+    if norm <= cfg.rank_rel_threshold * max(1.0, frob(a)):
         return 1  # a is lam * I up to noise
-    b = b / shift
+    b = b / norm
     prev_rank = n
     power = b
     for k in range(n + 1):
@@ -319,8 +310,6 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None, m: int | None = None
             r = _rank(power, cfg.rank_rel_threshold)
         if r == prev_rank:
             return k
-        if not k and n - r == m and gap > math.sqrt(cfg.rank_rel_threshold) * shift:
-            return 1
         prev_rank = r
     return n
 
@@ -353,13 +342,9 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
         indices = mults
     else:
         indices = []
-        for i, (v, m) in enumerate(zip(values, mults)):
-            if m == 1:  # 1 <= index <= multiplicity: a simple eigenvalue needs no search
-                nu = 1
-            else:
-                with np.errstate(over="ignore"):  # an overflowed distance is inf: far
-                    gap = float(np.delete(np.abs(values - v), i).min(initial=np.inf))
-                nu = eigen_index(a, v, cfg, m, gap)
+        for v, m in zip(values, mults):
+            # 1 <= index <= multiplicity: a simple eigenvalue needs no search
+            nu = 1 if m == 1 else eigen_index(a, v, cfg)
             if nu < 1:
                 raise ClusteringError(
                     f"clustered value {v} is not an eigenvalue at the current rank "

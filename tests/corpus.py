@@ -97,17 +97,6 @@ def random_diagonalizable(rng, n_max=6, min_sep=0.5):
     return v @ np.diag(lam) @ np.linalg.inv(v)
 
 
-def graded_similarity(rng, n=8, grade=4.0):
-    """``S diag(values) S^-1``: one value of POOL repeated 2-4 times beside
-    simple ones, ``S = D G`` with G a complex Gaussian and ``D = diag(10**u)``,
-    u uniform in [0, grade]."""
-    m = int(rng.integers(2, 5))
-    picks = rng.choice(len(POOL), n - m + 1, replace=False)
-    values = [POOL[picks[0]]] * m + [POOL[i] for i in picks[1:]]
-    s = np.diag(10.0 ** rng.uniform(0, grade, n)) @ (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return s @ np.diag(values) @ np.linalg.inv(s)
-
-
 def _stochastic(rows):
     return rows / rows.sum(axis=1, keepdims=True)
 
