@@ -142,9 +142,12 @@ def cesaro_residuals(p, limit) -> dict:
     """Residuals of the identities a limiting matrix must satisfy.
 
     Idempotency, two-sided commutation/absorption against P, row sums of 1,
-    and entry nonnegativity (reported as the worst negative excursion).
+    and entry nonnegativity (reported as the worst negative excursion). A real
+    chain and limit (every imaginary part 0) are read in real arithmetic.
     """
     p, limit = _pair(p, limit)
+    if not (p.imag.any() or limit.imag.any()):
+        p, limit = np.ascontiguousarray(p.real), np.ascontiguousarray(limit.real)
     (x, f, fx), (y, g, fy) = _carry(p), _carry(limit)
     return {
         "idempotency": _residual(y @ y, 2 * g, fy ** 2, y, g),

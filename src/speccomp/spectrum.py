@@ -228,6 +228,18 @@ def eigenvalues_raw(a) -> np.ndarray:
     return values
 
 
+def _means(ids: np.ndarray, x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of the real ``x`` per label of ``ids``. A label whose sum leaves the
+    float range takes its mean again of ``x * 2**-k``, ``2**k`` past the largest
+    count, scaled back: exact in the scaling, and sums in range keep their bits."""
+    sums = np.bincount(ids, x)
+    means = sums / counts
+    if not np.isfinite(sums).all():
+        k = int(counts.max()).bit_length()
+        means = np.where(np.isfinite(sums), means, np.ldexp(np.bincount(ids, np.ldexp(x, -k)) / counts, k))
+    return means
+
+
 def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
     """Single-linkage clustering of approximate eigenvalues.
 
@@ -259,7 +271,7 @@ def cluster_spectrum(values, cfg: ToleranceConfig | None = None):
     counts = np.bincount(ids)
     # each part divided on its own: numpy's complex division by a count
     # multiplies by its reciprocal, which is not the rounded mean
-    cents = np.bincount(ids, vals.real) / counts + 1j * (np.bincount(ids, vals.imag) / counts)
+    cents = _means(ids, vals.real, counts) + 1j * _means(ids, vals.imag, counts)
     zero = np.flatnonzero(np.abs(cents) <= radius)
     if zero.size:
         # every cluster that snaps to 0 is part of the one eigenvalue 0
@@ -283,14 +295,19 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
     sequence plateaus by then). The shifted matrix is renormalized before
     each powering step — rank is scale-invariant — so high powers cannot
     over- or underflow. A real ``a`` and ``lam`` keep the powers real. ``a``
-    is taken as :func:`~speccomp.linalg.as_matrix` returns it, not checked again.
+    is taken as :func:`~speccomp.linalg.as_matrix` returns it, not checked again;
+    a shift ``A - lam I`` past the float range raises :class:`ConditioningError`.
     """
     cfg = cfg or DEFAULT_TOLERANCES
     n = a.shape[0]
     lam = complex(lam)
     if not a.imag.any() and not lam.imag:
         a, lam = a.real, lam.real
-    b = a - lam * np.eye(n, dtype=a.dtype)
+    with np.errstate(over="ignore"):  # a shift past the float range is refused below
+        b = a - lam * np.eye(n, dtype=a.dtype)
+    if not np.isfinite(b).all():
+        raise ConditioningError(f"A - lam I at lam = {lam} overflows the float range for this {n}x{n} matrix; "
+                                "its index cannot be searched")
     norm = frob(b)
     if norm <= cfg.rank_rel_threshold * max(1.0, frob(a)):
         return 1  # a is lam * I up to noise
@@ -314,6 +331,32 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
     return n
 
 
+def _semisimple_at_one(a: np.ndarray, values: np.ndarray, k: int, m: int) -> bool:
+    """Whether cluster ``k`` of ``values``, of multiplicity ``m``, has index 1 by
+    theorem: ``a`` is a row-stochastic chain (real, no negative entry, every row
+    sum within ``4 n eps`` of 1), the cluster is the one nearest 1, and ``m`` is
+    the number of closed classes of the digraph of ``a > 0``. Eigenvalue 1 of a
+    chain is semisimple, with one copy per closed class (Agaev & Chebotarev, "On
+    the spectra of nonsymmetric Laplacian matrices", LAA 399, 2005)."""
+    n = a.shape[0]
+    if a.imag.any():
+        return False
+    p = a.real
+    with np.errstate(over="ignore"):  # a row sum past the float range is no chain's
+        off = np.abs(p.sum(axis=1) - 1.0).max()
+    if not (off <= 4 * n * np.finfo(float).eps and p.min() >= 0.0 and np.abs(values - 1.0).argmin() == k):
+        return False
+    # reachability: the closure of (P > 0) | I by repeated squaring
+    reach = ((p > 0.0) | np.eye(n, dtype=bool)).astype(float)
+    while not np.array_equal(closure := np.sign(reach @ reach), reach):
+        reach = closure
+    reach = reach > 0.0
+    # a state is recurrent when each state it reaches reaches it back; its row
+    # is then its closed class, counted once at the class's first state
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    return np.count_nonzero(recurrent & (reach.argmax(axis=1) == np.arange(n))) == m
+
+
 def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spectrum:
     """Full spectral structure of ``a``.
 
@@ -324,7 +367,9 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
       eigenvalue (multiplicity 1) has index 1, since
       ``1 <= index <= multiplicity``, and gets it without a search; whether
       its cluster really is an eigenvalue is left to the residuals of the
-      caller's result.
+      caller's result. Nor is eigenvalue 1 of a row-stochastic chain searched
+      when its cluster counts one copy per closed class of the chain's
+      digraph: it is semisimple by theorem. Any other count is searched.
     - ``"worst_case"``: exponent = multiplicity. Always valid and needs no
       rank computations (indices are recorded as their multiplicity upper
       bounds), trading larger products for robustness.
@@ -342,9 +387,10 @@ def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spect
         indices = mults
     else:
         indices = []
-        for v, m in zip(values, mults):
-            # 1 <= index <= multiplicity: a simple eigenvalue needs no search
-            nu = 1 if m == 1 else eigen_index(a, v, cfg)
+        for k, (v, m) in enumerate(zip(values, mults)):
+            # 1 <= index <= multiplicity: a simple eigenvalue needs no search,
+            # nor eigenvalue 1 of a chain with one copy per closed class
+            nu = 1 if m == 1 or _semisimple_at_one(a, values, k, m) else eigen_index(a, v, cfg)
             if nu < 1:
                 raise ClusteringError(
                     f"clustered value {v} is not an eigenvalue at the current rank "

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import speccomp.spectrum
 from speccomp import (
     JordanSpec,
     PreconditionError,
@@ -440,3 +441,20 @@ def test_cesaro_limit_is_right_or_a_typed_error(p):
     except SpectralError:
         return
     assert np.max(np.abs(limit - _projector_at_one(p))) <= 1e-8
+
+
+def _analyzed(p):
+    try:
+        return analyze(p)
+    except SpectralError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stochastic_chains())
+def test_analyze_of_a_chain_is_its_search_only_result(p):
+    # eigenvalue 1 settled by its closed classes gets what the search gives
+    settled = _analyzed(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(speccomp.spectrum, "_semisimple_at_one", lambda *args: False)
+        assert settled == _analyzed(p)

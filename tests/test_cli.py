@@ -560,6 +560,16 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run(capsys, [command, "--input", doc]) == (code, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["spectrum", "projector", "components", "drazin"])
+    def test_repeated_eigenvalue_at_the_top_of_the_range_exits_3(self, tmp_path, capsys, command):
+        # the mean of -1.7e308 twice is in range; its shift A - lam I is not
+        doc = write_json(tmp_path / "top.json", document_payload(np.diag([1.7e308, -1.7e308, -1.7e308])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, [command, "--input", doc]) == (
+                3, "", "error: A - lam I at lam = -1.7e+308 overflows the float range for this 3x3 matrix; "
+                       "its index cannot be searched\n")
+
     def test_cesaro_checks_the_chain_before_its_spectrum(self, tmp_path, capsys):
         # analyzing first would exit 3: 0 is no eigenvalue at the rank threshold
         doc = write_json(tmp_path / "near0.json", {"n": 2, "entries": [[0, 0], [1e-8, 0], [1e-8, 0], [0, 0]]})

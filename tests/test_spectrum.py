@@ -22,7 +22,7 @@ from speccomp import (
 from speccomp.linalg import rank_numeric
 from speccomp.spectrum import cluster_spectrum, eigen_index, eigenvalues_raw, replace_eigenvalue
 
-from corpus import corpus, periodic_chain, random_spec, random_stochastic
+from corpus import corpus, periodic_chain, random_spec, random_stochastic, reducible_chain
 
 # Wide-radius config for matrices with defective eigenvalues computed
 # numerically: their eigenvalue approximations scatter like eps**(1/index),
@@ -370,6 +370,72 @@ class TestIndexSearchScope:
             assert list(sp.indices) == [eigen_index(a, v, cfg) for v in sp.eigenvalues]
 
 
+def _outcome(a):
+    """``analyze(a)``, or the type and message of the error it raises."""
+    try:
+        return analyze(a)
+    except ClusteringError as exc:
+        return type(exc), str(exc)
+
+
+class TestChainAtOne:
+    """Eigenvalue 1 of a row-stochastic chain has index 1, one copy per closed
+    class: a cluster with that count is settled without a search."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        real, calls = speccomp.spectrum.eigen_index, []
+
+        def counted(a, lam, cfg=None):
+            calls.append(complex(lam))
+            return real(a, lam, cfg)
+
+        monkeypatch.setattr(speccomp.spectrum, "eigen_index", counted)
+        return calls
+
+    @pytest.mark.parametrize("a", [reducible_chain(np.random.default_rng(3), [2, 3, 2], 4), np.eye(3)],
+                             ids=["reducible", "identity"])
+    def test_one_copy_per_closed_class_needs_no_search(self, calls, a):
+        sp = analyze(a)
+        k = sp.position_of(1.0, 1e-12) - 1
+        assert (sp.multiplicities[k], sp.indices[k]) == (3, 1)
+        assert calls == []
+
+    def test_only_the_cluster_nearest_1_is_settled(self, calls):
+        # two absorbing states, and two transient ones whose block is J_2(0):
+        # 0 has the closed-class count as its multiplicity, and index 2
+        a = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+        sp = analyze(a)
+        assert (sp.eigenvalues, sp.multiplicities, sp.indices) == ((1, 0), (2, 2), (1, 2))
+        assert calls == [0j]
+
+    @pytest.mark.parametrize("a", [
+        # a transient value 1e-9 from 1 joins the unit cluster: 3 values, 2 closed classes
+        np.array([[1, 0, 0], [1e-9, 1 - 1e-9, 0], [0, 0, 1]]),
+        # one row sum off by 1e-9
+        np.diag([1 + 1e-9, 1.0, 1.0]),
+        np.diag([1 + 1e-9] + [1.0] * 10) @ reducible_chain(np.random.default_rng(3), [2, 3, 2], 4),
+        # a negative entry, though each state alone is closed in the pattern of a > 0
+        np.array([[1 + 1e-12, -1e-12], [0, 1]]),
+        # a nonzero imaginary part
+        np.eye(3) + 1e-20j * np.eye(3, k=1),
+        # row sums 2 and 1: a Jordan block
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+    ], ids=["merged-transient", "diag-off", "row-off", "negative", "complex", "jordan"])
+    def test_any_other_chain_is_searched_as_before(self, calls, monkeypatch, a):
+        settled = _outcome(a)
+        assert calls and min(abs(v - 1) for v in calls) < 1e-8
+        monkeypatch.setattr(speccomp.spectrum, "_semisimple_at_one", lambda *args: False)
+        assert settled == _outcome(a)
+
+    def test_fallbacks_keep_their_results(self):
+        with pytest.raises(ClusteringError, match=r"clustered value \(0\.99999999966666\d*\+0j\) is not an eigenvalue"):
+            analyze(np.array([[1, 0, 0], [1e-9, 1 - 1e-9, 0], [0, 0, 1]]))
+        assert analyze(np.array([[1.0, 1.0], [0.0, 1.0]])).indices == (2,)
+        assert analyze(np.array([[1 + 1e-12, -1e-12], [0, 1]])).indices == (1,)
+        assert analyze(np.eye(3) + 1e-20j * np.eye(3, k=1)).indices == (1,)
+
+
 class TestBuiltOnce:
     """Each constructor builds one Spectrum, with its exponent policy resolved."""
 
@@ -514,6 +580,15 @@ class TestHugeEntries:
         # 1.7e308 - (-1.7e308) overflows: two values that far apart are not close
         sp = analyze(np.diag([1.7e308, -1.7e308]))
         assert sp.eigenvalues == (1.7e308, -1.7e308)
+
+    def test_a_sum_past_the_float_range_has_a_finite_mean(self):
+        values, mults = cluster_spectrum([-1.7e308, 1.7e308, -1.7e308])
+        assert (values.tolist(), mults.tolist()) == ([1.7e308, -1.7e308], [1, 2])
+
+    def test_a_shift_past_the_float_range_is_a_conditioning_error(self):
+        # A - lam I at the repeated -1.7e308 has the entry 3.4e308
+        with pytest.raises(ConditioningError, match=r"^A - lam I at lam = -1.7e\+308 overflows the float range"):
+            analyze(np.diag([1.7e308, -1.7e308, -1.7e308]))
 
 
 class TestSelfChecked:

@@ -35,18 +35,11 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+from same_bytes import BLAS_ENV, ROOT, seeds  # the sibling tool: a script's own directory leads sys.path
+
 STAGES = ("whole", "spectrum", "command", "residuals")
 # the CLI's exit code for each error bench/run.py's api_call catches
 CODES = (("InputFormatError", 1), ("PreconditionError", 2), ("ConditioningError", 3))
-
-
-def _seeds(text: str) -> list:
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
 
 
 def load_tree(src: Path, name: str):
@@ -151,7 +144,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--workloads", default="desk,dense,chains")
-    parser.add_argument("--seeds", default="7-9", help="e.g. 7-9 or 3,5,8")
+    parser.add_argument("--seeds", type=seeds, default="7-9", help="e.g. 7-9, 3,5,8 or 7-9,11")
     parser.add_argument("--rounds", type=int, default=21, help="timed calls per document and tree")
     args = parser.parse_args(argv)
     srcs = [args.parent_src.resolve(), args.change_src.resolve()]
@@ -172,7 +165,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for workload in args.workloads.split(","):
             pooled = [[], []]
-            for seed in _seeds(args.seeds):
+            for seed in args.seeds:
                 docs = workloads.build(workload, seed, seconds, Path(tmp) / f"{workload}-{seed}")
                 for sc in trees:  # lazy set-up of each tree, untimed
                     for doc in docs:

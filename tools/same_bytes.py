@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,11 +29,17 @@ BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 CHILD_TIMEOUT_S = 300.0
 
 
-def _seeds(text: str) -> list:
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+def seeds(text: str) -> list:
+    """The seeds of a ``--seeds`` value: comma-separated items, each one seed or an
+    inclusive ``lo-hi`` range, so ``7-9,11`` is 7, 8, 9, 11. A bad item is a usage
+    error (exit 2), as argparse reports an ``ArgumentTypeError``."""
+    out = []
+    for item in text.split(","):
+        match = re.fullmatch(r"(\d+)(?:-(\d+))?", item)
+        if not match or int(match[2] or match[1]) < int(match[1]):
+            raise argparse.ArgumentTypeError(f"{item!r} is not a seed or a lo-hi range of seeds")
+        out += range(int(match[1]), int(match[2] or match[1]) + 1)
+    return out
 
 
 def _env(src: Path) -> dict:
@@ -53,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--workloads", default="desk,dense,chains")
-    parser.add_argument("--seeds", default="7-9", help="e.g. 7-9 or 3,5,8")
+    parser.add_argument("--seeds", type=seeds, default="7-9", help="e.g. 7-9, 3,5,8 or 7-9,11")
     args = parser.parse_args(argv)
     trees = [args.parent_src.resolve(), args.change_src.resolve()]
     for src in trees:
@@ -69,7 +76,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for workload in args.workloads.split(","):
-            for seed in _seeds(args.seeds):
+            for seed in args.seeds:
                 docs = workloads.build(workload, seed, seconds, work / f"{workload}-{seed}")
                 for doc in docs:
                     old, new = (_run(env, doc.argv, work) for env in envs)
