@@ -10,11 +10,11 @@ from typing import Callable
 
 import numpy as np
 
-from .components import ComponentSet, _check_pair, _component, _projector_zero
+from .components import ComponentSet, _check_pair, _projector_zero
 from .exceptions import PreconditionError
 from .linalg import (DEFAULT_TOLERANCES, ToleranceConfig, _carry, _pair, _power, _residual, _solve, as_matrix, frob,
                      identity)
-from .spectrum import Spectrum, analyze, effective_cluster_radius, replace_eigenvalue
+from .spectrum import Spectrum, _closed_classes
 
 __all__ = [
     "ScalarFunctionJet",
@@ -95,26 +95,36 @@ def _require_chain(p: np.ndarray, tol: float) -> None:
         raise PreconditionError("matrix is not row-stochastic: entries must be (near-)real and nonnegative")
 
 
-def cesaro_limit(p, cfg: ToleranceConfig | None = None, spectrum: Spectrum | None = None) -> np.ndarray:
+def cesaro_limit(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     """Limiting matrix of a row-stochastic chain.
 
-    Returns the order-0 component of P at eigenvalue 1 — the long-run
-    average of the powers of P, which exists even for periodic chains. The
-    eigenvalue cluster nearest 1 (within 10x the effective clustering
-    radius) is snapped to exactly 1 before the component engine runs,
-    mirroring the zero-snap rule. ``spectrum`` is P's spectrum when the
-    caller has it already, as ``analyze(p, cfg)`` returns it; without it,
-    that call is made here.
+    The long-run average of the powers of P, which exists even for periodic
+    chains: the eigenprojection of ``I - P`` at 0, read from the closed
+    classes of the digraph of ``P > 0`` with no spectrum (Agaev & Chebotarev,
+    LAA 399, 2005; Meyer, SIAM Review 17, 1975). Each class C has rows
+    ``1 pi_C``, with ``pi_C (P_CC - I) = 0`` and ``sum pi_C = 1`` solved as one
+    system whose last balance equation is the sum; the transient states T
+    solve ``(I - P_TT) B = R`` once, column c of R being ``P_TC 1``, and have
+    rows ``B[:, c] pi_C`` in C; every column of T is 0. A real chain is solved
+    in real arithmetic. A numerically singular system (classes that barely
+    communicate) raises :class:`SingularMatrixError`.
     """
     p, cfg = as_matrix(p), cfg or DEFAULT_TOLERANCES
     _require_chain(p, cfg.verify_tol)
-    sp = analyze(p, cfg, exponents="minimal") if spectrum is None else spectrum
-    k = sp.position_of(1.0, 10.0 * effective_cluster_radius(sp.eigenvalues, cfg))
-    if sp.eigenvalues[k - 1] != 1.0:
-        sp = replace_eigenvalue(sp, k, 1.0)
-        k = sp.position_of(1.0)
-    _check_pair(p, sp)
-    return _component(p, sp, k, 0, cfg)
+    p = p if p.imag.any() else p.real
+    classes = _closed_classes(p.real)
+    limit = np.zeros(p.shape, dtype=complex)
+    for c in classes:
+        system = p[np.ix_(c, c)].T - np.eye(c.size)
+        system[-1] = 1.0
+        limit[np.ix_(c, c)] = _solve(system, np.eye(c.size)[-1], cfg)
+    transient = np.flatnonzero(np.bincount(np.concatenate(classes), minlength=p.shape[0]) == 0)
+    if transient.size:
+        leaks = np.column_stack([p[np.ix_(transient, c)].sum(axis=1) for c in classes])
+        absorbed = _solve(np.eye(transient.size) - p[np.ix_(transient, transient)], leaks, cfg)
+        for b, c in zip(absorbed.T, classes):
+            limit[np.ix_(transient, c)] = b[:, None] * limit[c[0], c]
+    return limit
 
 
 def drazin_residuals(a, a_d, ind_a: int) -> dict:

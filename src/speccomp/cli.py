@@ -191,7 +191,7 @@ def _run(args) -> int:
         residuals = drazin_residuals(matrix, a_d, sp.ind_a)
         named = [("drazin_inverse", a_d)]
     elif args.command == "cesaro":
-        limit = cesaro_limit(matrix, cfg, sp)
+        limit = cesaro_limit(matrix, cfg)
         payload["cesaro_limit"] = matrix_block(limit)
         residuals = cesaro_residuals(matrix, limit)
         named = [("cesaro_limit", limit)]

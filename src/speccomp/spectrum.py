@@ -173,11 +173,6 @@ class Spectrum:
         lam = self.eigenvalues[k - 1]
         values = [v - lam for v in self.eigenvalues]
         values[k - 1] = 0j
-        return self._resorted(values)
-
-    def _resorted(self, values) -> "Spectrum":
-        """Copy with the eigenvalues replaced by ``values`` (aligned with the
-        current positions) and every per-position field re-sorted canonically."""
         order = canonical_order(values)
         fields = (values, self.multiplicities, self.indices, self.exponents)
         return Spectrum(*([field[i] for i in order] for field in fields))
@@ -331,6 +326,21 @@ def eigen_index(a, lam, cfg: ToleranceConfig | None = None) -> int:
     return n
 
 
+def _closed_classes(p: np.ndarray) -> list:
+    """The closed classes of the digraph of the real ``p > 0``, each an array of
+    its states in ascending order, the classes in the order of their first state."""
+    n = p.shape[0]
+    # reachability: the closure of (P > 0) | I by repeated squaring
+    reach = ((p > 0.0) | np.eye(n, dtype=bool)).astype(float)
+    while not np.array_equal(closure := np.sign(reach @ reach), reach):
+        reach = closure
+    reach = reach > 0.0
+    # a state is recurrent when each state it reaches reaches it back; its row
+    # is then its closed class, taken once at the class's first state
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    return [np.flatnonzero(reach[i]) for i in np.flatnonzero(recurrent & (reach.argmax(axis=1) == np.arange(n)))]
+
+
 def _semisimple_at_one(a: np.ndarray, values: np.ndarray, k: int, m: int) -> bool:
     """Whether cluster ``k`` of ``values``, of multiplicity ``m``, has index 1 by
     theorem: ``a`` is a row-stochastic chain (real, no negative entry, every row
@@ -346,15 +356,7 @@ def _semisimple_at_one(a: np.ndarray, values: np.ndarray, k: int, m: int) -> boo
         off = np.abs(p.sum(axis=1) - 1.0).max()
     if not (off <= 4 * n * np.finfo(float).eps and p.min() >= 0.0 and np.abs(values - 1.0).argmin() == k):
         return False
-    # reachability: the closure of (P > 0) | I by repeated squaring
-    reach = ((p > 0.0) | np.eye(n, dtype=bool)).astype(float)
-    while not np.array_equal(closure := np.sign(reach @ reach), reach):
-        reach = closure
-    reach = reach > 0.0
-    # a state is recurrent when each state it reaches reaches it back; its row
-    # is then its closed class, counted once at the class's first state
-    recurrent = ~(reach & ~reach.T).any(axis=1)
-    return np.count_nonzero(recurrent & (reach.argmax(axis=1) == np.arange(n))) == m
+    return len(_closed_classes(p)) == m
 
 
 def analyze(a, cfg: ToleranceConfig | None = None, exponents="minimal") -> Spectrum:
@@ -447,17 +449,3 @@ def spectrum_from_data(
     )
     mults, inds = [mults[i] for i in order], [inds[i] for i in order]
     return Spectrum(values.tolist(), mults, inds, _exponents(exponents, inds, mults))
-
-
-def replace_eigenvalue(sp: Spectrum, k: int, value) -> Spectrum:
-    """Copy of ``sp`` with the k-th eigenvalue relabeled as ``value``.
-
-    Used to snap a centroid known to be exact (0 or, for stochastic
-    matrices, 1) onto that exact value; the cluster's multiplicity, index
-    and exponent are kept. The result is re-sorted canonically; a value
-    already in the spectrum raises :class:`PreconditionError`.
-    """
-    sp._check_position(k)
-    values = list(sp.eigenvalues)
-    values[k - 1] = complex(value)
-    return sp._resorted(values)

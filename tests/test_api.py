@@ -63,7 +63,6 @@ MODULE_ONLY = {
         "effective_cluster_radius",
         "eigen_index",
         "eigenvalues_raw",
-        "replace_eigenvalue",
     ],
     "oracle": ["integer_similarity"],
 }

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import speccomp.spectrum
 from speccomp import (
+    ConditioningError,
     JordanSpec,
     PreconditionError,
     ScalarFunctionJet,
@@ -31,7 +33,6 @@ from speccomp import (
 from speccomp.cli import main
 from speccomp.documents import document_payload
 from speccomp.linalg import _ratio, frob, solve
-from speccomp.spectrum import replace_eigenvalue
 
 from corpus import (
     cesaro_average,
@@ -304,11 +305,6 @@ class TestCesaro:
         assert res["commutation"] <= 1e-8
         assert res["absorption"] <= 1e-8
 
-    def test_spectrum_without_1_is_refused_naming_its_nearest_eigenvalue(self):
-        sp = spectrum_from_data([2.0, 0.0], [1, 1], [1, 1])
-        with pytest.raises(PreconditionError, match=r"1\.0 is not an eigenvalue .*nearest is \(2\+0j\)"):
-            cesaro_limit(np.eye(2), spectrum=sp)
-
     def test_chain_is_checked_before_its_spectrum(self):
         # the spectrum of the first has no eigenvalue at 0, those of the others
         # overflow, and so does the row sum of the last
@@ -322,33 +318,14 @@ class TestCesaro:
         with pytest.raises(PreconditionError, match="stochastic"):
             cesaro_limit(np.array([[1.5, -0.5], [0.0, 1.0]]))
 
-    def test_given_spectrum_is_used_as_is(self, monkeypatch):
-        import speccomp.applications
 
-        rng = np.random.default_rng(3)
-        p = rng.random((6, 6))
-        p /= p.sum(axis=1, keepdims=True)
-        sp = analyze(p)
-        expected = cesaro_limit(p)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("a given spectrum must not be computed again")
-
-        monkeypatch.setattr(speccomp.applications, "analyze", boom)
-        assert np.array_equal(cesaro_limit(p, spectrum=sp), expected)
-
-
-def _projector_at_one(p, cfg=None):
-    """Eigenvalue-1 projector of ``components_by_nullspace``.
-
-    The spectrum comes from the worst-case policy (indices recorded as
-    multiplicities), so it runs no index search; the cluster nearest 1 is
-    relabeled as exactly 1, as ``cesaro_limit`` does.
-    """
-    sp = analyze(p, cfg, exponents="worst_case")
-    values = np.asarray(sp.eigenvalues)
-    sp = replace_eigenvalue(sp, int(np.abs(values - 1.0).argmin()) + 1, 1.0)
-    return components_by_nullspace(p, sp, cfg).parts[(sp.position_of(1.0), 0)]
+def _limit_by_svd(p):
+    """Eigenvalue-1 projector of a chain from the SVD null spaces of P - I,
+    with no eigenvalue clustering: eigenvalue 1 of a chain has index 1."""
+    u, sv, vh = np.linalg.svd(p - np.eye(len(p)))
+    k = int(np.sum(sv <= 1e-8 * sv[0]))
+    right, left = vh[-k:].conj().T, u[:, -k:].conj().T
+    return right @ np.linalg.solve(left @ right, left)
 
 
 def _chain_with_close_simple_eigenvalues():
@@ -371,7 +348,7 @@ class TestCesaroCloseSimpleEigenvalues:
         cfg = ToleranceConfig()
         limit = cesaro_limit(p, cfg)
         assert max(cesaro_residuals(p, limit).values()) <= cfg.verify_tol
-        assert np.max(np.abs(limit - _projector_at_one(p, cfg))) <= 1e-8
+        assert np.max(np.abs(limit - _limit_by_svd(p))) <= 1e-8
 
     def test_cli_exits_0(self, tmp_path, capsys):
         doc = tmp_path / "chain.json"
@@ -396,25 +373,80 @@ def _sparse_chain(seed):
     return m / m.sum(axis=1, keepdims=True)
 
 
-def _limit_by_svd(p):
-    """Eigenvalue-1 projector of a chain from the SVD null spaces of P - I,
-    with no eigenvalue clustering: eigenvalue 1 of a chain has index 1."""
-    u, sv, vh = np.linalg.svd(p - np.eye(len(p)))
-    k = int(np.sum(sv <= 1e-8 * sv[0]))
-    right, left = vh[-k:].conj().T, u[:, -k:].conj().T
-    return right @ np.linalg.solve(left @ right, left)
-
-
-@pytest.mark.parametrize("seed", [1465, 1954, 2483, 2639])
+@pytest.mark.parametrize("seed", [1465, 1954, 2012, 2483, 2639])
 def test_cesaro_links_a_scattered_defective_eigenvalue(seed):
-    # a repeated eigenvalue (0 or -0.5) whose computed values lie between
-    # one and two clustering radii apart: linkage at twice the radius keeps
-    # it one eigenvalue
+    # a repeated eigenvalue (0 or -0.5) whose computed values scatter past
+    # the clustering radius; the limit reads no spectrum, so seed 2012, whose
+    # Jordan block at 0 scatters so far that `analyze` refuses it, gets its
+    # limit too
     p = _sparse_chain(seed)
     cfg = ToleranceConfig()
     limit = cesaro_limit(p, cfg)
     assert max(cesaro_residuals(p, limit).values()) <= cfg.verify_tol
     assert np.max(np.abs(limit - _limit_by_svd(p))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, value, multiplicity", [(1465, -0.5, 2), (1954, 0, 5), (2483, 0, 3), (2639, 0, 3)])
+def test_chain_spectrum_links_a_scattered_defective_eigenvalue(seed, value, multiplicity):
+    # computed values between one and two clustering radii apart: linkage at
+    # twice the radius keeps them one eigenvalue in the spectrum `cesaro` reports
+    sp = analyze(_sparse_chain(seed))
+    assert sp.multiplicities[sp.position_of(value, 1e-8) - 1] == multiplicity
+
+
+def _decoupled_chain(seed, d):
+    """Two positive 6x6 blocks; each state leaks d, spread evenly, into the other block."""
+    rng = np.random.default_rng(seed)
+    p = np.full((12, 12), d / 6)
+    for block in (slice(0, 6), slice(6, 12)):
+        p[block, block] = (1.0 - d) * random_stochastic(rng, 6).real
+    return p
+
+
+def _limit_exact(p):
+    """``1 pi`` for the chain of the float entries of ``p``, each row rescaled
+    to sum exactly 1, in rational arithmetic: pi solves ``pi (P - I) = 0`` and
+    ``sum pi = 1``, the sum in place of the last balance equation."""
+    n = len(p)
+    rows = [[Fraction(x) for x in row] for row in p.tolist()]
+    rows = [[x / sum(row) for x in row] for row in rows]
+    # Gauss-Jordan on [(P - I)^T with its last row all ones | e_n]
+    m = [[rows[j][i] - (i == j) for j in range(n)] + [0] for i in range(n - 1)] + [[Fraction(1)] * (n + 1)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if m[i][k])
+        m[k], m[pivot] = m[pivot], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and (f := m[i][k]):
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return np.tile([float(row[n]) for row in m], (n, 1))
+
+
+@pytest.mark.parametrize("d", [1e-4, 1e-6, 1e-8])
+def test_near_decoupled_chain_loses_about_eps_over_d(d):
+    for seed in range(5):
+        p = _decoupled_chain(seed, d)
+        err = rel_frob(cesaro_limit(p), _limit_exact(p))
+        assert err <= 100 * np.finfo(float).eps / d, (seed, err)
+
+
+@pytest.mark.parametrize("d", [1e-10, 1e-12])
+def test_nearly_decoupled_chain_is_refused(d):
+    for seed in range(5):
+        with pytest.raises(ConditioningError, match="numerically singular"):
+            cesaro_limit(_decoupled_chain(seed, d))
+
+
+def test_transient_columns_are_zero_and_class_rows_identical():
+    p = reducible_chain(np.random.default_rng(8), [3, 1, 4], 5)
+    limit = cesaro_limit(p)
+    assert limit.dtype == complex and not limit.imag.any()
+    assert not limit[:, 8:].any()
+    for rows in (slice(0, 3), slice(3, 4), slice(4, 8)):
+        assert (limit[rows] == limit[rows.start]).all()
+        assert not limit[rows.start, :rows.start].any() and not limit[rows.start, rows.stop:].any()
+    assert np.max(np.abs(limit - _limit_by_svd(p))) <= 1e-12
+    assert max(cesaro_residuals(p, limit).values()) <= 1e-15
 
 
 @st.composite
@@ -440,7 +472,7 @@ def test_cesaro_limit_is_right_or_a_typed_error(p):
         limit = cesaro_limit(p)
     except SpectralError:
         return
-    assert np.max(np.abs(limit - _projector_at_one(p))) <= 1e-8
+    assert np.max(np.abs(limit - _limit_by_svd(p))) <= 1e-8
 
 
 def _analyzed(p):

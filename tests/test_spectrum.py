@@ -20,7 +20,7 @@ from speccomp import (
     spectrum_from_data,
 )
 from speccomp.linalg import rank_numeric
-from speccomp.spectrum import cluster_spectrum, eigen_index, eigenvalues_raw, replace_eigenvalue
+from speccomp.spectrum import cluster_spectrum, eigen_index, eigenvalues_raw
 
 from corpus import corpus, periodic_chain, random_spec, random_stochastic, reducible_chain
 
@@ -553,20 +553,13 @@ class TestIndA:
         ]
         spectra += [sp.with_exponents("worst_case") for sp in spectra]
         spectra += [sp.shifted(k) for sp in list(spectra) for k in range(1, sp.s + 1)]
-        spectra += [replace_eigenvalue(spectrum_from_data([1e-3, 3.0], [2, 1], [1, 1]), 2, 0.0)]
+        spectra += [Spectrum((3, 0), (1, 2), (1, 1), (1, 1))]
         for sp in spectra:
             assert sp.ind_a == _zero_index(sp), sp
             pos = sp.zero_position
             assert (pos is None) == (0 not in sp.eigenvalues)
             if pos is not None:
                 assert sp.eigenvalues[pos] == 0
-
-    def test_relabel_to_zero_sets_ind_a(self):
-        sp = spectrum_from_data([1.0, 3.0], [3, 1], [1, 1])
-        assert sp.ind_a == 0
-        relabeled = replace_eigenvalue(sp, sp.position_of(1.0), 0.0)
-        assert relabeled.ind_a == 1
-        assert relabeled.zero_position == relabeled.position_of(0.0) - 1
 
 
 class TestHugeEntries:
@@ -600,11 +593,6 @@ class TestSelfChecked:
         assert sp.u == 1
         assert np.array_equal(eigenprojection_zero(np.diag([2.0, 0.0]), sp), np.diag([0.0, 1.0]))
 
-    def test_relabel_onto_an_existing_eigenvalue_rejected(self):
-        # accepted, the spectrum (0j, 0j) made eigenprojection_zero return I
-        with pytest.raises(PreconditionError, match="pairwise distinct"):
-            replace_eigenvalue(analyze(np.diag([2.0, 0.0])), 1, 0.0)
-
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -613,6 +601,8 @@ class TestSelfChecked:
             (((1, 2), (1, 1), (2, 1), (2, 1)), "index 2 out of range 1..1 at position 1"),
             (((1, 2), (1, 2), (1, 2), (1, 1)), "exponent 1 smaller than index 2 at position 2"),
             (((float("nan"), 1), (1, 1), (1, 1), (1, 1)), "eigenvalues must be finite"),
+            (((2, complex(0, float("nan"))), (1, 1), (1, 1), (1, 1)), "eigenvalues must be finite"),
+            (((0, 0j), (1, 1), (1, 1), (1, 1)), "pairwise distinct"),
             (((complex(1, np.inf),), (1,), (1,), (1,)), "eigenvalues must be finite"),
             (((1,), (2.9,), (1,), (1,)), "multiplicities must be integers, got 2.9 at position 1"),
             (((1,), (2,), (1.5,), (2,)), "indices must be integers, got 1.5 at position 1"),
@@ -645,8 +635,6 @@ class TestSelfChecked:
         for count in (1.5, float("nan"), np.inf):
             with pytest.raises(PreconditionError, match="multiplicities must be integers"):
                 spectrum_from_data([1.0], [count], [1])
-        with pytest.raises(PreconditionError, match="must be finite"):
-            replace_eigenvalue(spectrum_from_data([1.0, 2.0], [1, 1], [1, 1]), 1, float("nan"))
         sp = spectrum_from_data([1.0], [2.0], np.array([1], dtype=np.int64))
         assert (sp.multiplicities, sp.indices) == ((2,), (1,))
 

@@ -9,8 +9,9 @@ documents are built once per workload and seed by ``bench/workloads.build``
 at the benchmark's ``run_seconds``, so they are the benchmark's own; then
 every document runs as ``python -m speccomp`` from both trees, in the same
 directory and with one BLAS thread, as the benchmark runs it. Every document
-whose stdout, stderr or exit code differs is listed, and the exit status is
-1 if there is any, else 0.
+whose stdout, stderr or exit code differs is listed, with the largest absolute
+difference over the numbers of its JSON report when its stdout differs, and
+the exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -55,6 +56,28 @@ def _run(env: dict, argv: list, cwd: Path) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def largest_difference(old: bytes, new: bytes) -> float | None:
+    """The largest absolute difference between the numbers at the same place of
+    two JSON reports; None unless both are JSON of one shape (same keys, same
+    lengths). Other leaves, such as strings, are not compared."""
+    try:
+        pairs = [(json.loads(old), json.loads(new))]
+    except ValueError:
+        return None
+    largest = 0.0
+    while pairs:
+        a, b = pairs.pop()
+        if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+            pairs += [(a[key], b[key]) for key in a]
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            pairs += zip(a, b)
+        elif isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
+            return None
+        elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+            largest = max(largest, abs(a - b))
+    return largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -85,8 +108,10 @@ def main(argv=None) -> int:
                             if a != b]
                     if what:
                         differ.append(f"{doc.id} (seed {seed})")
+                        move = largest_difference(old[1], new[1]) if "stdout" in what else None
+                        size = "" if move is None else f"; largest numeric difference {move:.3e}"
                         print(f"differs: {doc.id} seed {seed}: {', '.join(what)} "
-                              f"(exit {old[0]} -> {new[0]})", flush=True)
+                              f"(exit {old[0]} -> {new[0]}){size}", flush=True)
                 print(f"{workload} seed {seed}: {len(docs)} documents compared", flush=True)
     print(f"same_bytes: {compared - len(differ)} of {compared} documents identical; "
           f"{len(differ)} differ")
