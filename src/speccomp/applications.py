@@ -107,7 +107,8 @@ def cesaro_limit(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     solve ``(I - P_TT) B = R`` once, column c of R being ``P_TC 1``, and have
     rows ``B[:, c] pi_C`` in C; every column of T is 0. A real chain is solved
     in real arithmetic. A numerically singular system (classes that barely
-    communicate) raises :class:`SingularMatrixError`.
+    communicate) raises :class:`SingularMatrixError` naming its class or its
+    transient states, by their count and first state (0-based).
     """
     p, cfg = as_matrix(p), cfg or DEFAULT_TOLERANCES
     _require_chain(p, cfg.verify_tol)
@@ -117,11 +118,13 @@ def cesaro_limit(p, cfg: ToleranceConfig | None = None) -> np.ndarray:
     for c in classes:
         system = p[np.ix_(c, c)].T - np.eye(c.size)
         system[-1] = 1.0
-        limit[np.ix_(c, c)] = _solve(system, np.eye(c.size)[-1], cfg)
+        what = f"the system of the closed class of {c.size} states from state {c[0]}"
+        limit[np.ix_(c, c)] = _solve(system, np.eye(c.size)[-1], cfg, what)
     transient = np.flatnonzero(np.bincount(np.concatenate(classes), minlength=p.shape[0]) == 0)
     if transient.size:
         leaks = np.column_stack([p[np.ix_(transient, c)].sum(axis=1) for c in classes])
-        absorbed = _solve(np.eye(transient.size) - p[np.ix_(transient, transient)], leaks, cfg)
+        absorbed = _solve(np.eye(transient.size) - p[np.ix_(transient, transient)], leaks, cfg,
+                          f"the system of the {transient.size} transient states from state {transient[0]}")
         for b, c in zip(absorbed.T, classes):
             limit[np.ix_(transient, c)] = b[:, None] * limit[c[0], c]
     return limit

@@ -8,16 +8,15 @@ shifted. The paper's order-j component ``(1/j!) (A - lam_k I)^j Z_k0`` is
 climbed to one product per order, ``Z_kj = Z_k,j-1 (A - lam_k I) / j``.
 Where ``u_k = 1`` each factor is ``(A - lam_i I)^(u_i)``, which does not
 depend on k, over a scalar, so all those projectors share one sweep of
-prefix and suffix products (:func:`_lagrange`); for a real matrix that
-sweep runs in real arithmetic, one factor per real eigenvalue and one per
-pair of conjugate ones. Factors commute exactly (they are polynomials in
-A) but floating point does not, so every product keeps one fixed order;
-outputs are reproducible bit-for-bit per build.
+prefix and suffix products (:func:`_lagrange`); for a real matrix the
+factor at a real eigenvalue is real, and the projector at ``conj(lam)`` is
+the conjugate of the one at ``lam``. Factors commute exactly (they are
+polynomials in A) but floating point does not, so every product keeps one
+fixed order; outputs are reproducible bit-for-bit per build.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,42 +171,11 @@ def _lagrange_factor(x: np.ndarray, lam, outer: int):
     return (power, e + f), np.log2(norm) + e
 
 
-def _pair_factor(real: np.ndarray, lam: complex):
-    """``(A - lam I)(A - conj(lam) I) = B @ B + Im(lam)^2 I`` of a real A, with
-    ``B = A - Re(lam) I``, as a real scaled matrix, and the log2 of
-    ``||A - lam I||_F = sqrt(||B||_F^2 + n Im(lam)^2)``, read without overflow.
-    B is split first, so neither its square nor ``Im(lam)^2`` over- or underflows."""
-    b = _shift(real, lam.real)
-    norm = frob(b)
-    log_norm = np.log2(math.hypot(norm, math.sqrt(real.shape[0]) * lam.imag))
-    b, f = _split(b, norm)
-    square = b @ b
-    imag = math.ldexp(lam.imag, -f)
-    square.flat[:: real.shape[0] + 1] += imag * imag
-    square, g = _split(square)
-    return (square, 2 * f + g), log_norm
-
-
-def _conjugate_pairs(sp: Spectrum) -> dict:
-    """``{i: j}``, both ways, over the 0-based positions of two exactly
-    conjugate eigenvalues whose exponents are both 1."""
-    where = {v: i for i, v in enumerate(sp.eigenvalues)}
-    pairs = {}
-    for i, v in enumerate(sp.eigenvalues):
-        j = where.get(v.conjugate())
-        if v.imag and j is not None and sp.exponents[i] == sp.exponents[j] == 1:
-            pairs[i] = j
-    return pairs
-
-
-def _lagrange_scalars(sp: Spectrum, rows, pairs: dict):
+def _lagrange_scalars(sp: Spectrum, rows):
     """``(d, e, w)`` over the 0-based positions ``rows``: ``d[r] * 2**e[r]`` is
     ``prod_{i != k} (lam_k - lam_i)^(u_i)`` for ``k = rows[r]``, and ``w[r, i]``
     is ``log2 |lam_k - lam_i|^(u_i)``, infinite at i = k. Each difference is
     split into a power of two and a unit-size rest first, so neither overflows.
-    At a real ``lam_k`` each conjugate pair of ``pairs`` contributes one scalar,
-    ``|lam_k - lam_i|^2``, so d is exactly real when every other eigenvalue is
-    real or paired.
     """
     lam = np.asarray(sp.eigenvalues)
     u = np.asarray(sp.exponents)
@@ -215,15 +183,8 @@ def _lagrange_scalars(sp: Spectrum, rows, pairs: dict):
     diff = np.where(off, lam[rows, None] - lam, 1.0)
     e = np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1]
     rest = np.ldexp(diff.real, -e) + 1j * np.ldexp(diff.imag, -e)
-    terms = np.where(off, rest ** u, 1.0)
-    lower = [i for i, j in pairs.items() if i < j]
-    if lower:
-        real_rows = np.flatnonzero(lam[rows].imag == 0)[:, None]
-        member = rest[real_rows, lower]
-        terms[real_rows, lower] = member.real ** 2 + member.imag ** 2
-        terms[real_rows, [pairs[i] for i in lower]] = 1.0
     w = np.where(off, u * (np.log2(np.abs(rest)) + e), np.inf)
-    return np.prod(terms, axis=1), np.where(off, e * u, 0).sum(axis=1), w
+    return np.prod(np.where(off, rest ** u, 1.0), axis=1), np.where(off, e * u, 0).sum(axis=1), w
 
 
 def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> dict:
@@ -232,76 +193,70 @@ def _lagrange(a: np.ndarray, sp: Spectrum, positions, cfg: ToleranceConfig) -> d
     There ``Z_k0 = c_k * prod_{i != k} G_i`` with ``G_i = (A - lam_i I)^(u_i)``
     and the scalar ``c_k = prod_{i != k} (lam_k - lam_i)^(-u_i)``: the paper's
     factor ``I - (A - lam_k I)/(lam_i - lam_k)`` is ``G_i / (lam_k - lam_i)``.
-    A real A keeps real factors: a real eigenvalue gives the real ``G_i``, and
-    two exactly conjugate eigenvalues of exponent 1 give one real factor
-    ``G_i G_j`` (:func:`_pair_factor`); a wanted position in such a pair takes
-    its partner's complex ``G_j`` in place of the pair. So the projector at a
-    real eigenvalue of a real A is real, and its imaginary part exactly 0.
+    For a real A, the factor at a real eigenvalue is the real ``G_i``, the
+    projector at a real eigenvalue keeps only its real part (its imaginary
+    part is exactly 0), and a position at ``conj(lam)``, with ``lam`` at an
+    earlier position of exponent 1, is the projector at ``lam`` conjugated.
     One right-to-left pass stores the suffix of the factors after each k;
     one left-to-right pass runs the prefix of those before it and multiplies
     it onto the stored suffix, which it then drops. Every matrix is carried
     beside a power of two and rescaled, exactly, when its size leaves
-    ``2**+-_SCALE_RANGE``. Once per k, the largest factor norm
+    ``2**+-_SCALE_RANGE``. Once per computed k, the largest factor norm
     ``||G_i|| / |lam_k - lam_i|^(u_i)``, read from the factors' norms and
-    :func:`_lagrange_scalars`, is guarded (each member of a pair by its own
-    ``||A - lam_i I||``), and so is the finished product of two or more
-    factors. A single position runs the same passes over its own prefix and
-    suffix only, so its result has the same bits.
+    :func:`_lagrange_scalars`, is guarded, and so is the finished product of
+    two or more factors. A single position runs the same passes over its own
+    (or its partner's) prefix and suffix only, so its result has the same bits.
     """
     n = a.shape[0]
     real = None if a.imag.any() else np.ascontiguousarray(a.real)
-    pairs = {} if real is None else _conjugate_pairs(sp)
-    groups = [(i, pairs[i]) if i in pairs else (i,) for i in range(sp.s) if pairs.get(i, sp.s) > i]
-    group_of = {i: g for g, members in enumerate(groups) for i in members}
-    wanted = sorted(k - 1 for k in positions)
-    wanted_groups = {group_of[k] for k in wanted}
-    first, last = min(wanted_groups), max(wanted_groups)
+    partner = {}
+    if real is not None:
+        at = {v: i for i, v in enumerate(sp.eigenvalues, 1) if sp.exponents[i - 1] == 1}
+        for k in positions:
+            j = at.get(sp.eigenvalues[k - 1].conjugate(), k)
+            if j < k:
+                partner[k] = j
+    wanted = sorted({partner.get(k, k) - 1 for k in positions})
+    first, last = wanted[0], wanted[-1]
     row = {k: r for r, k in enumerate(wanted)}
-    d, d_exp, w = _lagrange_scalars(sp, wanted, pairs)
+    d, d_exp, w = _lagrange_scalars(sp, wanted)
     log_norm = np.full(sp.s, -np.inf)
 
-    def single(i):
+    def factor(i):
         lam = sp.eigenvalues[i]
         x, lam = (real, lam.real) if real is not None and not lam.imag else (a, lam)
         m, log_norm[i] = _lagrange_factor(x, lam, sp.exponents[i])
-        return m
-
-    def factor(g):
-        if len(groups[g]) == 1:
-            return single(groups[g][0])
-        m, log_norm[list(groups[g])] = _pair_factor(real, sp.eigenvalues[groups[g][0]])
         return m
 
     out = {}
     with np.errstate(over="ignore", divide="ignore"):
         suffixes = {}
         tail = None
-        for g in range(len(groups) - 1, first - 1, -1):
-            if g in wanted_groups:
-                suffixes[g] = tail
-            if g > first:
-                tail = _times(factor(g), tail)
+        for i in range(sp.s - 1, first - 1, -1):
+            if i in row:
+                suffixes[i] = tail
+            if i > first:
+                tail = _times(factor(i), tail)
         head = None
-        for g in range(last + 1):
-            for k in [k for k in groups[g] if k in row]:
-                r = row[k]
-                middle = _times(head, single(pairs[k])) if k in pairs else head
-                product = _times(middle, suffixes[g])
+        for i in range(last + 1):
+            if i in row:
+                r, product = row[i], _times(head, suffixes.pop(i))
                 if product is None:
-                    out[k + 1] = identity(n)
-                    continue
-                _guard(float(np.exp2(np.max(log_norm - w[r]))), cfg, "product factor")
-                m, e = product
-                q = m / (d[r].real if m.dtype == float and not d[r].imag else d[r])
-                z = np.ldexp(q.view(float), e - int(d_exp[r])).view(q.dtype)
-                z += 0.0  # a zero entry divided by a negative d reads -0.0
-                if sp.s > 2:
-                    _guard(frob(z), cfg, "product of factors")
-                out[k + 1] = z.astype(complex, copy=False)
-            suffixes.pop(g, None)
-            if g < last:
-                head = _times(head, factor(g))
-    return out
+                    out[i + 1] = identity(n)
+                else:
+                    _guard(float(np.exp2(np.max(log_norm - w[r]))), cfg, "product factor")
+                    m, e = product
+                    q = m.real / d[r].real if real is not None and not sp.eigenvalues[i].imag else m / d[r]
+                    z = np.ldexp(q.view(float), e - int(d_exp[r])).view(q.dtype)
+                    z += 0.0  # a zero entry divided by a negative d reads -0.0
+                    if sp.s > 2:
+                        _guard(frob(z), cfg, "product of factors")
+                    out[i + 1] = z.astype(complex, copy=False)
+            if i < last:
+                head = _times(head, factor(i))
+    for k, j in partner.items():
+        out[k] = out[j].conj() + 0.0  # a zero imaginary part conjugates to -0.0
+    return {k: out[k] for k in positions}
 
 
 def eigenprojection_zero(a, sp: Spectrum, cfg: ToleranceConfig | None = None) -> np.ndarray:

@@ -248,10 +248,11 @@ def solve(a, b, cfg: ToleranceConfig | None = None) -> np.ndarray:
     return _solve(a, b, cfg or DEFAULT_TOLERANCES)
 
 
-def _solve(a: np.ndarray, b: np.ndarray | None, cfg: ToleranceConfig) -> np.ndarray:
-    """Core of :func:`solve`; ``b = None`` is I, solved first by the certificate's inverse (the same LU)."""
+def _solve(a: np.ndarray, b: np.ndarray | None, cfg: ToleranceConfig, what: str = "matrix") -> np.ndarray:
+    """Core of :func:`solve`; ``b = None`` is I, solved first by the certificate's inverse (the same LU).
+    A refusal names the system as ``what``."""
     inv = _full_rank(a, cfg.rank_rel_threshold, lambda sv: SingularMatrixError(
-        f"matrix is numerically singular: smallest singular value {sv[-1]:.3e} (largest {sv[0]:.3e})",
+        f"{what} is numerically singular: smallest singular value {sv[-1]:.3e} (largest {sv[0]:.3e})",
         pivot=float(sv[-1])))
     x, b = (inv, identity(a.shape[0])) if b is None else (np.linalg.solve(a, b), b)
     x = x + np.linalg.solve(a, b - a @ x)

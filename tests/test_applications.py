@@ -17,6 +17,7 @@ from speccomp import (
     JordanSpec,
     PreconditionError,
     ScalarFunctionJet,
+    SingularMatrixError,
     SpectralError,
     ToleranceConfig,
     analyze,
@@ -433,8 +434,23 @@ def test_near_decoupled_chain_loses_about_eps_over_d(d):
 @pytest.mark.parametrize("d", [1e-10, 1e-12])
 def test_nearly_decoupled_chain_is_refused(d):
     for seed in range(5):
-        with pytest.raises(ConditioningError, match="numerically singular"):
+        with pytest.raises(SingularMatrixError, match="numerically singular") as refusal:
             cesaro_limit(_decoupled_chain(seed, d))
+        assert 0 < refusal.value.pivot < 1e-9
+
+
+@pytest.mark.parametrize("p, system", [
+    (_decoupled_chain(0, 1e-10), "the closed class of 12 states from state 0"),
+    # states 1 and 2 swap and leak 1e-13 into the absorbing state 0
+    (np.array([[1.0, 0.0, 0.0], [1e-13, 0.0, 1.0 - 1e-13], [1e-13, 1.0 - 1e-13, 0.0]]), "the 2 transient states from state 1"),
+])
+def test_cli_names_the_refused_system_and_exits_3(tmp_path, capsys, p, system):
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps(document_payload(p)), encoding="utf-8")
+    assert main(["cesaro", "--input", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: the system of {system} is numerically singular: smallest singular value ")
 
 
 def test_transient_columns_are_zero_and_class_rows_identical():

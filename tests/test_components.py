@@ -274,11 +274,15 @@ class TestGuardRule:
         all_components(a, sp)
         assert guard_calls == ["product factor", "product of factors"] * s
 
-    def test_real_matrix_with_pairs_guards_2s_norms(self, guard_calls):
+    def test_real_matrix_with_pairs_guards_each_computed_projector(self, guard_calls):
+        # the projector at conj(lam) is the conjugate of the one at lam, so
+        # each of the p conjugated partners guards nothing
         a = _real_matrices()[0]
         sp = analyze(a)
+        p = sum(v.imag > 0 for v in sp.eigenvalues)
+        assert p == 4
         all_components(a, sp)
-        assert guard_calls == ["product factor", "product of factors"] * sp.s
+        assert guard_calls == ["product factor", "product of factors"] * (sp.s - p)
 
     def test_nonsingular_projection_at_zero_guards_nothing(self, guard_calls):
         a = np.diag([1.0, 2.0, 3.0, 4.0])
@@ -724,8 +728,8 @@ class TestOneKernel:
 
 
 class TestRealArithmetic:
-    """A real matrix keeps real factors: each real eigenvalue's, and one per
-    pair of exactly conjugate eigenvalues."""
+    """A real matrix keeps the real factor of each real eigenvalue, and its
+    projector at conj(lam) is the conjugate of the one at lam."""
 
     def test_conjugate_eigenvalues_give_conjugate_projectors(self, real_cases):
         pairs = 0
@@ -745,7 +749,7 @@ class TestRealArithmetic:
                     assert z.dtype == complex
                     assert not z.imag.any() and not np.signbit(z.imag).any(), (k, lam)
 
-    def test_real_eigenvalue_projector_multiplies_only_real_matrices(self, monkeypatch):
+    def test_all_real_spectrum_multiplies_only_real_matrices(self, monkeypatch):
         import speccomp.components as components
 
         kinds = set()
@@ -756,24 +760,27 @@ class TestRealArithmetic:
             return times(x, y)
 
         monkeypatch.setattr(components, "_times", recording)
-        for a in _real_matrices():
+        s = np.random.default_rng(3).normal(size=(5, 5))
+        for a in (np.diag([3.0, -1.0, 0.5, 2.0]), s @ np.diag([3.0, -1.0, 0.5, 2.0, 0.0]) @ np.linalg.inv(s)):
             sp = analyze(a)
-            component(a, sp, sp.position_of(sp.eigenvalues[0]), 0)
-            assert not sp.eigenvalues[0].imag
+            assert not any(v.imag for v in sp.eigenvalues)
+            all_components(a, sp)
         assert kinds == {np.dtype(float)}
 
-    def test_complex_matrix_with_a_conjugate_pair_does_not_pair(self, monkeypatch):
-        import speccomp.components as components
-
-        def refuse(*args):
-            raise AssertionError("a complex matrix formed a pair factor")
-
-        monkeypatch.setattr(components, "_pair_factor", refuse)
+    def test_complex_matrix_is_never_conjugated_nor_a_partner_of_exponent_2(self):
+        # a complex matrix with a conjugate pair, and a real one whose pair has
+        # exponents (2, 1): neither projector is the conjugate of the other's
         rng = np.random.default_rng(6)
         s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        a = s @ np.diag([1 + 1j, 1 - 1j, 2]) @ np.linalg.inv(s)
-        sp = spectrum_from_data([1 + 1j, 1 - 1j, 2], [1, 1, 1], [1, 1, 1])
-        cs = all_components(a, sp)
-        ns = components_by_nullspace(a, sp)
-        for key in cs.keys():
-            assert rel_frob(cs.parts[key], ns.parts[key]) <= 1e-12
+        complex_a = s @ np.diag([1 + 1j, 1 - 1j, 2]) @ np.linalg.inv(s)
+        s = rng.normal(size=(3, 3))
+        real_a = s @ np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]) @ np.linalg.inv(s)
+        real_sp = analyze(real_a)
+        assert real_sp.eigenvalues[2] == real_sp.eigenvalues[1].conjugate() and real_sp.eigenvalues[1].imag < 0
+        for a, sp in ((complex_a, spectrum_from_data([1 + 1j, 1 - 1j, 2], [1, 1, 1], [1, 1, 1])),
+                      (real_a, real_sp.with_exponents((1, 2, 1)))):
+            cs = all_components(a, sp)
+            ns = components_by_nullspace(a, sp)
+            for key in cs.keys():
+                assert rel_frob(cs.parts[key], ns.parts[key]) <= 1e-12
+                assert np.array_equal(component(a, sp, *key), cs.parts[key])
